@@ -57,7 +57,6 @@ from .homotopy import (
     contract,
     continuity_in_lambda,
     f_map,
-    saturation_radius,
     stability_in_space,
     trace,
     trace_csv,
@@ -111,7 +110,6 @@ __all__ = [
     "order_violation_bound",
     "point_to_set_distance",
     "sample",
-    "saturation_radius",
     "scalar_str",
     "scale_space",
     "segment_correspondence",

@@ -10,6 +10,7 @@ that ran out of budget still exits 0 with the output flagged bounds-only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -166,7 +167,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused after that.
+
+    Rebuilding it on every `main` call leaves reference cycles behind, so an
+    in-process caller's memory would creep up call after call.
+    """
     parser = argparse.ArgumentParser(
         prog="netline",
         description="Exact Hausdorff/Gromov-Hausdorff geometry on the line",

@@ -19,58 +19,47 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """Symmetric exact distance matrix, optionally backed by line coordinates.
+    """Finite metric space given by its line coordinates or by a matrix.
 
-    Construction validates the full metric contract: zero diagonal, symmetry,
-    strictly positive off-diagonal entries and the exact triangle inequality
-    (O(n^3), fine at desk scale).
+    A line space stores only its strictly increasing coordinates, which
+    already force every metric axiom; its distances are derived on demand.
+    A matrix space is validated against the full metric contract: zero
+    diagonal, symmetry, strictly positive off-diagonal entries and the exact
+    triangle inequality (O(n^3), fine at desk scale).
     """
 
-    dist: tuple[tuple[Fraction, ...], ...]
-    line_coords: PointSet | None = None
+    metric: PointSet | tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.dist)
+        if isinstance(self.metric, PointSet):
+            return
+        dist = self.metric
+        n = len(dist)
         if n == 0:
             raise ValueError("a metric space needs at least one point")
-        for row in self.dist:
+        for row in dist:
             if len(row) != n:
                 raise ValueError("distance matrix must be square")
-        if self.line_coords is not None:
-            # matching strictly increasing coordinates already force every
-            # metric axiom, so the O(n^3) triangle sweep is skipped
-            pts = self.line_coords.points
-            if len(pts) != n:
-                raise ValueError("line coordinates must match matrix size")
-            for i in range(n):
-                row = self.dist[i]
-                pi = pts[i]
-                for j in range(n):
-                    if row[j] != abs(pi - pts[j]):
-                        raise ValueError("line coordinates disagree with matrix")
-            return
         for i in range(n):
-            if self.dist[i][i] != 0:
+            if dist[i][i] != 0:
                 raise ValueError("diagonal must be zero")
             for j in range(i + 1, n):
-                if self.dist[i][j] != self.dist[j][i]:
+                if dist[i][j] != dist[j][i]:
                     raise ValueError("distance matrix must be symmetric")
-                if self.dist[i][j] <= 0:
+                if dist[i][j] <= 0:
                     raise ValueError("off-diagonal distances must be positive")
         for i in range(n):
             for j in range(n):
-                dij = self.dist[i][j]
+                dij = dist[i][j]
                 for k in range(n):
-                    if dij > self.dist[i][k] + self.dist[k][j]:
+                    if dij > dist[i][k] + dist[k][j]:
                         raise ValueError(
                             f"triangle inequality fails at ({i},{j},{k})"
                         )
 
     @classmethod
     def from_line(cls, points: PointSet) -> "FiniteMetricSpace":
-        pts = points.points
-        rows = tuple(tuple(abs(p - q) for q in pts) for p in pts)
-        return cls(rows, line_coords=points)
+        return cls(points)
 
     @classmethod
     def from_matrix(cls, rows: Sequence[Sequence[ScalarLike]]) -> "FiniteMetricSpace":
@@ -78,11 +67,23 @@ class FiniteMetricSpace:
 
     @classmethod
     def singleton(cls) -> "FiniteMetricSpace":
-        return cls(((Fraction(0),),), line_coords=PointSet((Fraction(0),)))
+        return cls(PointSet((Fraction(0),)))
+
+    @property
+    def line_coords(self) -> PointSet | None:
+        return self.metric if isinstance(self.metric, PointSet) else None
+
+    @property
+    def dist(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix, built from the coordinates for a line space."""
+        if isinstance(self.metric, PointSet):
+            pts = self.metric.points
+            return tuple(tuple(abs(p - q) for q in pts) for p in pts)
+        return self.metric
 
     @property
     def n(self) -> int:
-        return len(self.dist)
+        return len(self.metric)
 
 
 def diam(x: FiniteMetricSpace) -> Fraction:
@@ -102,9 +103,9 @@ def scale_space(x: FiniteMetricSpace, lam: ScalarLike) -> FiniteMetricSpace:
         raise ValueError("scale factor must be nonnegative")
     if f == 0:
         return FiniteMetricSpace.singleton()
-    rows = tuple(tuple(v * f for v in row) for row in x.dist)
-    coords = x.line_coords.scale(f) if x.line_coords is not None else None
-    return FiniteMetricSpace(rows, line_coords=coords)
+    if x.line_coords is not None:
+        return FiniteMetricSpace(x.line_coords.scale(f))
+    return FiniteMetricSpace(tuple(tuple(v * f for v in row) for row in x.dist))
 
 
 def _canonical_pairs(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
@@ -164,6 +165,17 @@ class Correspondence:
             n_right,
         )
 
+    @classmethod
+    def nearest(cls, x: PointSet, y: PointSet) -> "Correspondence":
+        """Every point paired with its nearest point of the other set.
+
+        Ties resolve to the smaller coordinate; pairing in both directions
+        makes the result doubly surjective.
+        """
+        pairs = {(i, y.index_nearest(p)) for i, p in enumerate(x.points)}
+        pairs |= {(x.index_nearest(q), j) for j, q in enumerate(y.points)}
+        return cls.of(pairs, len(x), len(y))
+
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -172,9 +184,6 @@ class Correspondence:
 
     def preimage_of(self, j: int) -> tuple[int, ...]:
         return tuple(i for i, b in self.pairs if b == j)
-
-    def as_relation(self) -> Relation:
-        return Relation(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -212,19 +221,14 @@ def scaled_int_matrices(
     return den, dx, dy
 
 
-def distortion(
-    sigma: RelationLike, x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> DistortionCertificate:
-    """Exact sup over pairs of pairs of | |xx'| - |yy'| |, with witness.
+def int_distortion(
+    pairs: Sequence[Pair], dx: list[list[int]], dy: list[list[int]]
+) -> tuple[int, tuple[Pair, Pair]]:
+    """Largest | dx[i][i2] - dy[j][j2] | over pairs of pairs, with witness.
 
-    O(|R|^2).  The witness is deterministic: pairs are scanned in sorted
+    O(|R|^2).  The witness is deterministic: pairs are scanned in the given
     order and only a strictly larger value replaces the incumbent.
     """
-    pairs = sigma.pairs
-    for i, j in pairs:
-        if i >= x.n or j >= y.n:
-            raise ValueError(f"pair ({i}, {j}) out of range for the spaces")
-    den, dx, dy = scaled_int_matrices(x, y)
     best = -1
     witness: tuple[Pair, Pair] | None = None
     for k, (i, j) in enumerate(pairs):
@@ -238,4 +242,20 @@ def distortion(
                 best = v
                 witness = ((i, j), (i2, j2))
     assert witness is not None
-    return DistortionCertificate(Fraction(best, den), witness)
+    return best, witness
+
+
+def distortion(
+    sigma: RelationLike, x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> DistortionCertificate:
+    """Exact sup over pairs of pairs of | |xx'| - |yy'| |, with witness.
+
+    Pairs are scanned in sorted order (see int_distortion for the witness).
+    """
+    pairs = sigma.pairs
+    for i, j in pairs:
+        if i >= x.n or j >= y.n:
+            raise ValueError(f"pair ({i}, {j}) out of range for the spaces")
+    den, dx, dy = scaled_int_matrices(x, y)
+    value, witness = int_distortion(pairs, dx, dy)
+    return DistortionCertificate(Fraction(value, den), witness)

@@ -198,25 +198,29 @@ def gh_certificate_doc(
 
 def verify_gh_certificate(doc: dict) -> bool:
     """Recompute the certificate's claims from its own payload."""
-    x = parse_metric_space(doc["x"], "$.x")
-    y = parse_metric_space(doc["y"], "$.y")
-    lower = parse_scalar(doc["lower"], "$.lower")
-    upper = parse_scalar(doc["upper"], "$.upper")
+
+    def field(key: str) -> Any:
+        return _require(doc, key, f"$.{key}")
+
+    x = parse_metric_space(field("x"), "$.x")
+    y = parse_metric_space(field("y"), "$.y")
+    lower = parse_scalar(field("lower"), "$.lower")
+    upper = parse_scalar(field("upper"), "$.upper")
     if lower > upper:
         return False
     if "correspondence" not in doc:
-        return doc["status"] == "bounds-only"
+        return field("status") == "bounds-only"
     corr = Correspondence.of(
         [(int(i), int(j)) for i, j in doc["correspondence"]], x.n, y.n
     )
     cert = distortion(corr, x, y)
-    if cert.value != parse_scalar(doc["distortion"], "$.distortion"):
+    if cert.value != parse_scalar(field("distortion"), "$.distortion"):
         return False
     # the witnessed correspondence realizes the upper bound
     if cert.value != 2 * upper:
         return False
-    if doc["status"] == "exact":
-        exact = parse_scalar(doc["exact"], "$.exact")
+    if field("status") == "exact":
+        exact = parse_scalar(field("exact"), "$.exact")
         if not (lower == exact == upper):
             return False
     return True

@@ -7,7 +7,7 @@ this module ever rounds.  The ambient real line is modelled by a finite
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -209,16 +209,20 @@ def _spans(s: SetOnLine) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def point_to_set_distance(p: ScalarLike, s: SetOnLine) -> Fraction:
     """Exact distance from a point to the nearest component of the set."""
-    x = as_scalar(p)
-    best: Fraction | None = None
-    for a, b in _spans(s):
-        d = a - x if x < a else (x - b if x > b else Fraction(0))
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    assert best is not None
-    return best
+    return _dist_to_spans(as_scalar(p), _spans(s))
+
+
+def _dist_to_spans(x: Fraction, spans: tuple[tuple[Fraction, Fraction], ...]) -> Fraction:
+    """Distance from x to sorted disjoint spans, by bisection: O(log n)."""
+    # only the last span starting at or before x and the first one starting
+    # after it can be nearest
+    k = bisect_right(spans, x, key=lambda span: span[0])
+    candidates = []
+    if k > 0:
+        candidates.append(max(x - spans[k - 1][1], Fraction(0)))
+    if k < len(spans):
+        candidates.append(spans[k][0] - x)
+    return min(candidates)
 
 
 def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
@@ -241,23 +245,13 @@ def _directed_sup(src: tuple[tuple[Fraction, Fraction], ...],
         critical.append(b)
     for (_, b0), (a1, _) in zip(dst, dst[1:]):
         mid = (b0 + a1) / 2
-        if any(a <= mid <= b for a, b in src):
+        if _dist_to_spans(mid, src) == 0:
             critical.append(mid)
     best = Fraction(0)
     for x in critical:
         d = _dist_to_spans(x, dst)
         if d > best:
             best = d
-    return best
-
-
-def _dist_to_spans(x: Fraction, spans: tuple[tuple[Fraction, Fraction], ...]) -> Fraction:
-    best: Fraction | None = None
-    for a, b in spans:
-        d = a - x if x < a else (x - b if x > b else Fraction(0))
-        if best is None or d < best:
-            best = d
-    assert best is not None
     return best
 
 

@@ -8,10 +8,9 @@ no Hausdorff quantity measured against the window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .geometry import (
     IntervalUnion,
@@ -19,22 +18,19 @@ from .geometry import (
     ScalarLike,
     Window,
     as_scalar,
-    covering_radius,
     hausdorff,
     scalar_str,
     thicken,
 )
 
-RadiusOrInf = Union[Fraction, float]
 
-
-def f_map(lam: ScalarLike) -> RadiusOrInf:
-    """Exact lam/(1-lam) on [0, 1); lam = 1 returns the infinity sentinel."""
+def f_map(lam: ScalarLike) -> Fraction | None:
+    """Exact lam/(1-lam) on [0, 1); None at lam = 1, where it is infinite."""
     v = as_scalar(lam)
     if not 0 <= v <= 1:
         raise ValueError("lam must lie in [0, 1]")
     if v == 1:
-        return math.inf
+        return None
     return v / (1 - v)
 
 
@@ -44,14 +40,11 @@ def contract(x: PointSet, lam: ScalarLike, w: Window) -> IntervalUnion:
     lam = 0 reproduces the set, lam = 1 yields the full window, anything in
     between is the lam/(1-lam)-thickening clipped to the window.
     """
-    v = as_scalar(lam)
-    if not 0 <= v <= 1:
-        raise ValueError("lam must lie in [0, 1]")
+    radius = f_map(lam)
     if not w.contains(x):
         raise ValueError("point set must lie inside the window")
-    if v == 1:
+    if radius is None:
         return w.span()
-    radius = v / (1 - v)
     return thicken(x, radius).clip(w.lo, w.hi)
 
 
@@ -68,18 +61,7 @@ def continuity_in_lambda(
     if not (0 <= v1 < 1 and 0 <= v2 < 1):
         raise ValueError("both parameters must lie in [0, 1)")
     d = hausdorff(contract(x, v1, w), contract(x, v2, w))
-    f1 = v1 / (1 - v1)
-    f2 = v2 / (1 - v2)
-    return d, abs(f1 - f2)
-
-
-def saturation_radius(x: PointSet, w: Window) -> Fraction:
-    """Smallest radius whose thickening already covers the whole window.
-
-    Coincides with the covering radius: boundary gaps need exactly their
-    length, interior gaps half of it.
-    """
-    return covering_radius(x, w)
+    return d, abs(f_map(v1) - f_map(v2))
 
 
 def stability_in_space(
@@ -103,7 +85,7 @@ class TraceRow:
     space: IntervalUnion
     d_to_window: Fraction
     step_d: Fraction
-    certified_bound: RadiusOrInf
+    certified_bound: Fraction | None  # None: infinite, the step reaches lam = 1
 
 
 @dataclass(frozen=True)
@@ -112,7 +94,8 @@ class HomotopyTrace:
 
     def __post_init__(self) -> None:
         for row in self.rows:
-            if not row.step_d <= row.certified_bound:
+            bound = row.certified_bound
+            if bound is not None and row.step_d > bound:
                 raise ValueError("trace row violates its certified bound")
 
 
@@ -132,18 +115,20 @@ def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:
     rows: list[TraceRow] = []
     window_span = w.span()
     prev_space: IntervalUnion | None = None
-    prev_f: RadiusOrInf = Fraction(0)
+    prev_f: Fraction | None = Fraction(0)
     for lam in lams:
         space = contract(x, lam, w)
         f_lam = f_map(lam)
         if prev_space is None:
             step_d: Fraction = Fraction(0)
-            bound: RadiusOrInf = Fraction(0)
+            bound: Fraction | None = Fraction(0)
         else:
             step_d = hausdorff(space, prev_space)
-            bound = abs(f_lam - prev_f) if f_lam != math.inf else math.inf
-            if prev_f == math.inf:
-                bound = Fraction(0) if f_lam == math.inf else math.inf
+            if f_lam is None:
+                # ascending grid: prev_f is None only when lam repeats 1
+                bound = Fraction(0) if prev_f is None else None
+            else:
+                bound = abs(f_lam - prev_f)
         rows.append(
             TraceRow(lam, space, hausdorff(space, window_span), step_d, bound)
         )
@@ -165,22 +150,25 @@ TRACE_CSV_COLUMNS = (
 )
 
 
-def _dec(v: RadiusOrInf) -> str:
-    return "inf" if v == math.inf else f"{float(v):.12g}"
+def _dec(v: Fraction) -> str:
+    return f"{float(v):.12g}"
+
+
+def _exact_or_inf(v: Fraction | None) -> str:
+    return "inf" if v is None else scalar_str(v)
 
 
 def trace_csv(tr: HomotopyTrace) -> str:
     """Render a trace as CSV: exact rational columns plus decimal twins."""
     lines = [",".join(TRACE_CSV_COLUMNS)]
     for row in tr.rows:
-        f_lam = f_map(row.lam)
         cells = [
             scalar_str(row.lam),
-            "inf" if f_lam == math.inf else scalar_str(f_lam),
+            _exact_or_inf(f_map(row.lam)),
             str(len(row.space)),
             scalar_str(row.d_to_window),
             scalar_str(row.step_d),
-            "inf" if row.certified_bound == math.inf else scalar_str(row.certified_bound),
+            _exact_or_inf(row.certified_bound),
             _dec(row.lam),
             _dec(row.d_to_window),
             _dec(row.step_d),

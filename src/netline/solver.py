@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .correspondence import (
     Correspondence,
     FiniteMetricSpace,
     Pair,
+    int_distortion,
     scaled_int_matrices,
 )
 from .errors import ExhaustiveLimitError
@@ -58,57 +60,34 @@ def _int_diameters(dx: list[list[int]], dy: list[list[int]]) -> tuple[int, int]:
     return diam_x, diam_y
 
 
-def _pairs_distortion_int(
-    pairs: list[Pair], dx: list[list[int]], dy: list[list[int]]
-) -> int:
-    best = 0
-    for k, (i, j) in enumerate(pairs):
-        row_x = dx[i]
-        row_y = dy[j]
-        for i2, j2 in pairs[k:]:
-            v = row_x[i2] - row_y[j2]
-            if v < 0:
-                v = -v
-            if v > best:
-                best = v
-    return best
+def _seed_incumbent(
+    x: FiniteMetricSpace,
+    y: FiniteMetricSpace,
+    dx: list[list[int]],
+    dy: list[list[int]],
+    full_val: int,
+) -> tuple[int, Sequence[Pair]]:
+    """Initial incumbent: the best of a few cheap correspondences.
 
-
-def _nearest_index(coords: tuple, x) -> int:
-    best = 0
-    best_d = abs(coords[0] - x)
-    for k in range(1, len(coords)):
-        d = abs(coords[k] - x)
-        if d < best_d:
-            best, best_d = k, d
-    return best
-
-
-def _nearest_point_pairs(
-    x: FiniteMetricSpace, y: FiniteMetricSpace
-) -> list[Pair] | None:
-    """Mutual nearest-image correspondence for two line-embedded spaces."""
-    if x.line_coords is None or y.line_coords is None:
-        return None
-    xs = x.line_coords.points
-    ys = y.line_coords.points
-    pairs = {(i, _nearest_index(ys, xs[i])) for i in range(len(xs))}
-    pairs |= {(_nearest_index(xs, ys[j]), j) for j in range(len(ys))}
-    return sorted(pairs)
-
-
-def _seed_pair_lists(
-    x: FiniteMetricSpace, y: FiniteMetricSpace, n: int, m: int
-) -> list[list[Pair]]:
-    """Cheap candidate correspondences used to tighten the initial incumbent."""
-    seeds: list[list[Pair]] = []
-    nearest = _nearest_point_pairs(x, y)
-    if nearest is not None:
-        seeds.append(nearest)
+    The full relation always works, with distortion ``full_val`` (the larger
+    diameter); the nearest-point correspondence of two line-embedded spaces
+    and, for equal sizes, the identity-style ones are usually much tighter.
+    """
+    n, m = x.n, y.n
+    best_val = full_val
+    best_pairs: Sequence[Pair] = [(i, j) for i in range(n) for j in range(m)]
+    seeds: list[Sequence[Pair]] = []
+    if x.line_coords is not None and y.line_coords is not None:
+        seeds.append(Correspondence.nearest(x.line_coords, y.line_coords).pairs)
     if n == m:
         seeds.append([(i, i) for i in range(n)])
         seeds.append([(i, n - 1 - i) for i in range(n)])
-    return seeds
+    for seed in seeds:
+        seed_val, _ = int_distortion(seed, dx, dy)
+        if seed_val < best_val:
+            best_val = seed_val
+            best_pairs = seed
+    return best_val, best_pairs
 
 
 def gh_exact(
@@ -145,15 +124,8 @@ def gh_exact(
     full_row = (1 << n) - 1
     full_col = (1 << m) - 1
 
-    # Incumbent: the full relation always works; nearest-point and (for equal
-    # sizes) identity-style correspondences are usually much tighter.
-    best_val = max(diam_x, diam_y)
-    best_slots = list(range(nm))
-    for seed in _seed_pair_lists(x, y, n, m):
-        seed_val = _pairs_distortion_int(seed, dx, dy)
-        if seed_val < best_val:
-            best_val = seed_val
-            best_slots = [i * m + j for i, j in seed]
+    best_val, best_pairs = _seed_incumbent(x, y, dx, dy, max(diam_x, diam_y))
+    best_slots = [i * m + j for i, j in best_pairs]
 
     chosen: list[int] = []
     nodes = 0
@@ -228,13 +200,7 @@ def gh_branch_bound(
     diam_x, diam_y = _int_diameters(dx, dy)
     lower_int = abs(diam_x - diam_y)
 
-    best_val = max(diam_x, diam_y)
-    best_pairs: list[Pair] = [(i, j) for i in range(n) for j in range(m)]
-    for seed in _seed_pair_lists(x, y, n, m):
-        seed_val = _pairs_distortion_int(seed, dx, dy)
-        if seed_val < best_val:
-            best_val = seed_val
-            best_pairs = seed
+    best_val, best_pairs = _seed_incumbent(x, y, dx, dy, max(diam_x, diam_y))
 
     xs = x.line_coords.points if x.line_coords is not None else None
     ys = y.line_coords.points if y.line_coords is not None else None

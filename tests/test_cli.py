@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -173,3 +174,17 @@ def test_cli_outputs_are_byte_identical_on_rerun(spaces, capsys):
     r1 = capsys.readouterr().out
     main(["verify", "order-lemmas", "--seed", "9", "--cases", "30"])
     assert capsys.readouterr().out == r1
+
+
+def test_repeated_main_calls_leave_no_garbage(spaces, capsys):
+    # the parser is built once per process; rebuilding it on every call left
+    # reference cycles that only the cyclic collector reclaims
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert main(["dist-h", spaces["a"], spaces["b"]]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out == "2\n" * 3

@@ -33,7 +33,7 @@ def test_metric_space_validation():
     with pytest.raises(ValueError):
         FiniteMetricSpace.from_matrix([[0, 1, 3], [1, 0, 1], [3, 1, 0]])  # triangle
     with pytest.raises(ValueError):
-        FiniteMetricSpace(((F(0), F(2)), (F(2), F(0))), line_coords=PointSet.of([0, 1]))
+        FiniteMetricSpace.from_matrix([[0, 1], [1]])  # not square
 
 
 def test_relation_and_correspondence_invariants():

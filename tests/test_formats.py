@@ -125,3 +125,13 @@ def test_gh_certificate_bounds_only():
     doc = gh_certificate_doc(res, x, y)
     assert doc["status"] == "bounds-only"
     assert verify_gh_certificate(doc)
+
+
+def test_gh_certificate_missing_field_is_a_format_error():
+    x = FiniteMetricSpace.from_line(PointSet.of([0, 1]))
+    y = FiniteMetricSpace.from_line(PointSet.of([0, 2]))
+    doc = gh_certificate_doc(gh_exact(x, y), x, y)
+    del doc["upper"]
+    with pytest.raises(FormatError) as exc:
+        verify_gh_certificate(doc)
+    assert exc.value.location == "$.upper"

@@ -24,8 +24,13 @@ from netline import (
     separation,
     thicken,
 )
-from netline.geometry import _dist_to_spans, _spans
+from netline.geometry import _spans
 from netline.harness import GeneratorConfig, random_point_set, random_scalar
+
+
+def linear_dist_to_spans(x: F, spans) -> F:
+    """Independent oracle: distance to the nearest span, by a linear scan."""
+    return min(a - x if x < a else (x - b if x > b else F(0)) for a, b in spans)
 
 
 def sup_norm_hausdorff(a, b) -> F:
@@ -38,7 +43,10 @@ def sup_norm_hausdorff(a, b) -> F:
             candidates.append(hi)
         for (_, b0), (a1, _) in zip(spans, spans[1:]):
             candidates.append((b0 + a1) / 2)
-    return max(abs(_dist_to_spans(x, sa) - _dist_to_spans(x, sb)) for x in candidates)
+    return max(
+        abs(linear_dist_to_spans(x, sa) - linear_dist_to_spans(x, sb))
+        for x in candidates
+    )
 
 
 def random_union(rng: random.Random, lo=F(0), hi=F(10), max_parts=3) -> IntervalUnion:
@@ -85,6 +93,11 @@ def test_point_to_set_distance_examples():
     assert point_to_set_distance(5, PointSet.of([0, 10])) == 5
     assert point_to_set_distance(3, IntervalUnion.merge([(0, 2), (7, 9)])) == 1
     assert point_to_set_distance(2, PointSet.of([2])) == 0
+    rng = random.Random(17)
+    for _ in range(300):
+        s = random_union(rng, max_parts=4)
+        x = random_scalar(rng, F(-2), F(14), 16)
+        assert point_to_set_distance(x, s) == linear_dist_to_spans(x, _spans(s))
 
 
 def test_hausdorff_examples():

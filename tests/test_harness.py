@@ -20,6 +20,7 @@ from netline import (
     verify_ultrametric_gh,
     verify_ultrametric_hausdorff,
 )
+from netline import harness
 from netline.harness import shrink_point_pair
 
 
@@ -71,6 +72,14 @@ def test_lambda_search_records_hits_not_failures():
     hits_line = next(r for r in rep.records if r.startswith("naive-bound hits"))
     hits = int(hits_line.split(":")[1].split("/")[0])
     assert hits > 0  # the stronger naive bound really does fail
+
+
+def test_lambda_search_counts_certificate_violations(monkeypatch):
+    # a step above its own certificate is a failure, and the record says so
+    monkeypatch.setattr(harness, "continuity_in_lambda", lambda x, l1, l2, w: (F(2), F(1)))
+    rep = lambda_bound_counterexample_search(GeneratorConfig(seed=0), cases=3)
+    assert len(rep.failures) == 3
+    assert "certificate violations: 3" in rep.records
 
 
 def test_homothety_experiment_examples():

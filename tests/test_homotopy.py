@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction as F
 
@@ -20,7 +19,6 @@ from netline import (
     gh_branch_bound,
     hausdorff,
     sample,
-    saturation_radius,
     stability_in_space,
     thicken,
     trace,
@@ -34,7 +32,7 @@ def test_f_map_values():
     assert f_map(0) == 0
     assert f_map(F(1, 2)) == 1
     assert f_map(F(3, 4)) == 3
-    assert f_map(1) == math.inf
+    assert f_map(1) is None
     with pytest.raises(ValueError):
         f_map(F(5, 4))
     with pytest.raises(ValueError):
@@ -77,15 +75,15 @@ def test_continuity_examples_and_property():
         assert d <= bound
 
 
-def test_saturation_radius():
+def test_covering_radius_saturates_window():
     w = Window.of(0, 10)
-    assert saturation_radius(PointSet.of(range(11)), w) == F(1, 2)
-    assert saturation_radius(PointSet.of([5]), w) == 5
+    assert covering_radius(PointSet.of(range(11)), w) == F(1, 2)
+    assert covering_radius(PointSet.of([5]), w) == 5
     rng = random.Random(43)
     cfg = GeneratorConfig(seed=0)
     for _ in range(100):
         x = random_point_set(rng, cfg)
-        r = saturation_radius(x, w)
+        r = covering_radius(x, w)
         assert thicken(x, r).clip(w.lo, w.hi) == w.span()
         if r > 0:
             assert thicken(x, r - F(1, 1000)).clip(w.lo, w.hi) != w.span()
@@ -93,14 +91,14 @@ def test_saturation_radius():
 
 
 def test_endpoint_convergence_at_saturation():
-    # once the radius reaches the saturation radius the deformation IS the
+    # once the radius reaches the covering radius the deformation IS the
     # window; lam = r/(1+r) maps to radius exactly r
     rng = random.Random(46)
     cfg = GeneratorConfig(seed=0)
     w = cfg.window
     for _ in range(100):
         x = random_point_set(rng, cfg)
-        r = saturation_radius(x, w)
+        r = covering_radius(x, w)
         lam = r / (1 + r) if r > 0 else F(0)
         deformed = contract(x, lam, w)
         if r > 0:
