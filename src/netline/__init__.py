@@ -22,7 +22,7 @@ from .correspondence import (
     gh_to_point,
     scale_space,
 )
-from .errors import ExhaustiveLimitError, PreconditionError
+from .errors import ExhaustiveLimitError, InvariantError, PreconditionError
 from .geometry import (
     IntervalUnion,
     PointSet,
@@ -47,6 +47,7 @@ from .harness import (
     verify_bounded_cloud,
     verify_construction_bounds,
     verify_continuity,
+    verify_gh_bounds,
     verify_order_lemmas,
     verify_stability,
     verify_ultrametric_gh,
@@ -81,6 +82,7 @@ __all__ = [
     "GeneratorConfig",
     "HomotopyTrace",
     "IntervalUnion",
+    "InvariantError",
     "OrderPreservationReport",
     "OrderViolationReport",
     "PointSet",
@@ -121,6 +123,7 @@ __all__ = [
     "verify_bounded_cloud",
     "verify_construction_bounds",
     "verify_continuity",
+    "verify_gh_bounds",
     "verify_order_lemmas",
     "verify_stability",
     "verify_ultrametric_gh",

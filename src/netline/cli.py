@@ -2,9 +2,10 @@
 
 Subcommands: dist-h, dist-gh, contract, trace, verify, experiment.  Every
 run is a pure function of its command line: outputs are byte-identical on
-reruns.  Exit status 2 flags input/parse errors (with the offending
-location), 1 flags a theorem-suite failure, 0 everything else; a solver
-that ran out of budget still exits 0 with the output flagged bounds-only.
+reruns.  Exit status 3 flags an internal defect (a result that breaks an
+invariant the library guarantees), 2 input/parse errors (with the offending
+location), 1 a theorem-suite failure, 0 everything else; a solver that ran
+out of budget still exits 0 with the output flagged bounds-only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import ExhaustiveLimitError
+from .errors import ExhaustiveLimitError, InvariantError
 from .formats import (
     FormatError,
     SpaceObject,
@@ -135,6 +136,7 @@ SUITES = {
     "order-lemmas": (harness.verify_order_lemmas, 1_000, True),
     "construction-bounds": (harness.verify_construction_bounds, 500, True),
     "lambda-hits": (harness.lambda_bound_counterexample_search, 10_000, False),
+    "gh-bounds": (harness.verify_gh_bounds, 1_000, True),
 }
 
 
@@ -239,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except InvariantError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 3
     except FormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -197,6 +197,12 @@ class DistortionCertificate:
 RelationLike = Union[Relation, Correspondence]
 
 
+def int_coords(points: PointSet, den: int) -> list[int]:
+    """Coordinates times ``den`` as plain ints; ``den`` must clear every
+    denominator (multiplying the Fractions instead would keep Fractions)."""
+    return [v.numerator * (den // v.denominator) for v in points.points]
+
+
 def scaled_int_matrices(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[int, list[list[int]], list[list[int]]]:
@@ -206,8 +212,8 @@ def scaled_int_matrices(
         for pts in (x.line_coords.points, y.line_coords.points):
             for v in pts:
                 den = lcm(den, v.denominator)
-        xs = [v.numerator * (den // v.denominator) for v in x.line_coords.points]
-        ys = [v.numerator * (den // v.denominator) for v in y.line_coords.points]
+        xs = int_coords(x.line_coords, den)
+        ys = int_coords(y.line_coords, den)
         dx = [[abs(a - b) for b in xs] for a in xs]
         dy = [[abs(a - b) for b in ys] for a in ys]
         return den, dx, dy

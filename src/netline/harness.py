@@ -1,9 +1,9 @@
 """Randomized suites certifying the library's inequalities at desk scale.
 
-Theorem-backed suites (ultrametric, bounded cloud, continuity, stability,
-order lemmas, construction bounds) must report zero failures: any failure
-is a defect, and the failing instance is shrunk by greedy point removal and
-serialized so the case can be replayed verbatim.  Experiment operations
+Theorem-backed suites (ultrametric, bounded cloud, GH bounds, continuity,
+stability, order lemmas, construction bounds) must report zero failures:
+any failure is a defect, and the failing instance is shrunk by greedy point
+removal and serialized so the case can be replayed verbatim.  Experiment operations
 (homothety, geometric progression, the lambda-bound counterexample search)
 are trend reports, not pass/fail checks.
 
@@ -21,7 +21,7 @@ from math import ceil, floor
 from typing import Callable, Sequence
 
 from .constructions import extend_correspondence, segment_correspondence
-from .correspondence import Correspondence, FiniteMetricSpace, diam
+from .correspondence import Correspondence, FiniteMetricSpace, diam, distortion
 from .errors import PreconditionError
 from .formats import format_metric_space, format_space
 from .geometry import (
@@ -36,7 +36,13 @@ from .geometry import (
 )
 from .homotopy import contract, continuity_in_lambda, stability_in_space
 from .ordering import check_order_preservation, order_violation_bound
-from .solver import EXHAUSTIVE_LIMIT, gh_branch_bound, gh_exact
+from .solver import (
+    EXHAUSTIVE_LIMIT,
+    gh_branch_bound,
+    gh_exact,
+    gh_lower_bound,
+    staircase_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -278,6 +284,48 @@ def verify_bounded_cloud(cfg: GeneratorConfig, cases: int = 1_000) -> SuiteRepor
                 )
             )
     return SuiteReport("bounded-cloud", cfg.seed, cases, tuple(failures))
+
+
+def verify_gh_bounds(cfg: GeneratorConfig, cases: int = 1_000) -> SuiteReport:
+    """The solver's polynomial bounds bracket the exact GH distance.
+
+    The profile lower bound never exceeds ``gh_exact``; for two line spaces
+    the staircase upper bound never falls below it, and its correspondence
+    has exactly the distortion the staircase DP reports.
+    """
+    rng = random.Random(cfg.seed)
+    failures: list[CaseFailure] = []
+    lower_tight = line_pairs = upper_tight = 0
+    for idx in range(cases):
+        x = random_metric_space(rng, cfg)
+        y = random_metric_space(rng, cfg)
+        value = gh_exact(x, y).exact
+        assert value is not None
+        low = gh_lower_bound(x, y)
+        lower_tight += low == value
+        detail = None
+        if low > value:
+            detail = f"profile bound {low} exceeds d_GH {value}"
+        elif x.line_coords is not None and y.line_coords is not None:
+            line_pairs += 1
+            high, corr = staircase_bound(x, y)
+            upper_tight += high == value
+            if high < value:
+                detail = f"staircase bound {high} is below d_GH {value}"
+            elif distortion(corr, x, y).value != 2 * high:
+                detail = f"staircase correspondence does not attain {high}"
+        if detail is not None:
+            failures.append(CaseFailure(idx, _instance_json(x=x, y=y), detail))
+    return SuiteReport(
+        "gh-bounds",
+        cfg.seed,
+        cases,
+        tuple(failures),
+        records=(
+            f"lower bound tight: {lower_tight}/{cases}",
+            f"staircase tight: {upper_tight}/{line_pairs} line pairs",
+        ),
+    )
 
 
 def verify_continuity(cfg: GeneratorConfig, cases: int = 10_000) -> SuiteReport:

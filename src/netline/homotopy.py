@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .errors import InvariantError
 from .geometry import (
     IntervalUnion,
     PointSet,
@@ -96,7 +97,7 @@ class HomotopyTrace:
         for row in self.rows:
             bound = row.certified_bound
             if bound is not None and row.step_d > bound:
-                raise ValueError("trace row violates its certified bound")
+                raise InvariantError("trace row violates its certified bound")
 
 
 def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:

@@ -13,6 +13,14 @@ Two independent routes to the same minimum:
   larger distortion, so the restricted family attains the true minimum.
 
 Both report d_GH = (min distortion)/2 with the minimizing correspondence.
+
+Branch-and-bound also uses two polynomial bounds.  The profile lower bound
+(Memoli, "Some properties of Gromov-Hausdorff distances", 2012) compares
+the distance rows of x and y: c(x, y), their Hausdorff distance, is at most
+dis R whenever (x, y) lies in R, so 2 d_GH >= max(max_x min_y c,
+max_y min_x c) on any finite metric.  The staircase upper bound, for line
+spaces, is the best monotone correspondence; its distortion is the range of
+the offsets x_i - y_j along a lattice path, minimised by a bottleneck DP.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ from .correspondence import (
     Correspondence,
     FiniteMetricSpace,
     Pair,
+    int_coords,
     int_distortion,
     scaled_int_matrices,
 )
-from .errors import ExhaustiveLimitError
+from .errors import ExhaustiveLimitError, InvariantError
 
 EXHAUSTIVE_LIMIT = 25
 
@@ -46,12 +55,12 @@ class GHResult:
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
-            raise ValueError("lower bound exceeds upper bound")
+            raise InvariantError("lower bound exceeds upper bound")
         if self.exact is not None:
             if not (self.lower == self.exact == self.upper):
-                raise ValueError("exact value must pinch both bounds")
+                raise InvariantError("exact value must pinch both bounds")
             if self.optimal is None:
-                raise ValueError("exact value needs its optimal correspondence")
+                raise InvariantError("exact value needs its optimal correspondence")
 
 
 def _int_diameters(dx: list[list[int]], dy: list[list[int]]) -> tuple[int, int]:
@@ -164,9 +173,7 @@ def gh_exact(
     return GHResult(exact, exact, exact, optimal, nodes, optimal)
 
 
-def _monotone_possible(
-    dom_new, img_new, prior: list[tuple]
-) -> bool:
+def _monotone_possible(dom_new: int, img_new: int, prior: list[Pair]) -> bool:
     """Can the selection stay monotone (either direction) with this pair?"""
     inc = dec = True
     for dom_old, img_old in prior:
@@ -180,20 +187,181 @@ def _monotone_possible(
     return True
 
 
+def _directed_sorted(a: list[int], b: list[int]) -> int:
+    """Largest distance from a value of ``a`` to its nearest value of ``b``;
+    both ascending and nonempty, merged with two pointers."""
+    worst = 0
+    k = 0
+    last = len(b) - 1
+    for v in a:
+        while k < last and b[k + 1] <= v:
+            k += 1
+        d = v - b[k] if v >= b[k] else b[k] - v
+        if k < last and b[k + 1] - v < d:
+            d = b[k + 1] - v
+        if d > worst:
+            worst = d
+    return worst
+
+
+def _profile_costs(dx: list[list[int]], dy: list[list[int]]) -> list[list[int]]:
+    """c[i][j]: Hausdorff distance between the distance rows of i and j.
+
+    If (i, j) lies in a correspondence R, every x' has a partner y' with
+    | d(x_i, x') - d(y_j, y') | <= dis R, and symmetrically, so
+    c[i][j] <= dis R.
+    """
+    rows_y = [sorted(set(row)) for row in dy]
+    costs = []
+    for row in dx:
+        a = sorted(set(row))
+        costs.append(
+            [max(_directed_sorted(a, b), _directed_sorted(b, a)) for b in rows_y]
+        )
+    return costs
+
+
+def _profile_bound(costs: list[list[int]]) -> int:
+    """Lower bound on the minimum distortion: R covers every row and every
+    column, so it holds some (i, j) with c[i][j] at least the row (column)
+    minimum."""
+    return max(
+        max(min(row) for row in costs),
+        max(min(col) for col in zip(*costs)),
+    )
+
+
+def _staircase(
+    xs: list[int], ys: list[int], cap: int
+) -> tuple[int, list[Pair]] | None:
+    """Least-distortion increasing staircase below ``cap``, or None.
+
+    A monotone lattice path from (0, 0) to (n-1, m-1) covers every row and
+    column, and for two of its cells |(x_i' - x_i) - (y_j' - y_j)| is the
+    difference of the offsets o(i, j) = x_i - y_j, so its distortion is the
+    range of its offsets.  For each candidate minimum offset ``lo``, taken
+    downward, a bottleneck DP finds the least maximum offset over paths
+    whose offsets all lie in [lo, lo + cap); the scan stops once the path
+    ends alone span ``cap``.  Returns (distortion, path).
+    """
+    n, m = len(xs), len(ys)
+    off = [[a - b for b in ys] for a in xs]
+    start, end = off[0][0], off[n - 1][m - 1]
+    top = max(start, end)
+    low_ends = {o for row in off for o in row if o <= min(start, end)}
+    best = None
+    for lo in sorted(low_ends, reverse=True):
+        if top - lo >= cap:
+            break
+        hi = lo + cap
+        # f[i][j]: least maximum offset of an admissible path to (i, j)
+        f: list[list[int | None]] = []
+        prev: list[int | None] = [None] * m
+        for i in range(n):
+            row = off[i]
+            cur: list[int | None] = [None] * m
+            for j in range(m):
+                o = row[j]
+                if o < lo or o >= hi:
+                    continue
+                if i == 0 and j == 0:
+                    cur[0] = o
+                    continue
+                b = prev[j]
+                if j:
+                    for c in (cur[j - 1], prev[j - 1]):
+                        if c is not None and (b is None or c < b):
+                            b = c
+                if b is not None:
+                    cur[j] = o if o > b else b
+            f.append(cur)
+            prev = cur
+        reach = f[n - 1][m - 1]
+        if reach is None:
+            continue
+        cap = reach - lo
+        # walk back through predecessors of least f, diagonal first on ties
+        i, j = n - 1, m - 1
+        path = [(i, j)]
+        while i or j:
+            steps = [
+                (a, b)
+                for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+                if a >= 0 and b >= 0 and f[a][b] is not None
+            ]
+            i, j = min(steps, key=lambda s: f[s[0]][s[1]])
+            path.append((i, j))
+        best = (cap, path[::-1])
+    return best
+
+
+def _best_staircase(
+    xs: list[int], ys: list[int], cap: int
+) -> tuple[int, list[Pair]] | None:
+    """Best increasing or decreasing staircase below ``cap``, or None."""
+    best = _staircase(xs, ys, cap)
+    if best is not None:
+        cap = best[0]
+    m = len(ys)
+    down = _staircase(xs, [-v for v in reversed(ys)], cap)
+    if down is not None:
+        best = (down[0], [(i, m - 1 - j) for i, j in down[1]])
+    return best
+
+
+def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
+    """The larger of the diameter and profile lower bounds on d_GH."""
+    den, dx, dy = scaled_int_matrices(x, y)
+    diam_x, diam_y = _int_diameters(dx, dy)
+    low = max(abs(diam_x - diam_y), _profile_bound(_profile_costs(dx, dy)))
+    return Fraction(low, 2 * den)
+
+
+def staircase_bound(
+    x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> tuple[Fraction, Correspondence]:
+    """Upper bound on d_GH of two line spaces from the best monotone
+    staircase correspondence, with that correspondence.
+
+    The value is the one the DP reports (half the offset range), not a
+    recomputed distortion, so callers can check the two against each other.
+    """
+    if x.line_coords is None or y.line_coords is None:
+        raise ValueError("staircase bounds need two line-embedded spaces")
+    den, dx, dy = scaled_int_matrices(x, y)
+    # every correspondence has distortion at most the larger diameter
+    cap = max(_int_diameters(dx, dy)) + 1
+    found = _best_staircase(
+        int_coords(x.line_coords, den), int_coords(y.line_coords, den), cap
+    )
+    assert found is not None
+    value, pairs = found
+    return Fraction(value, 2 * den), Correspondence.of(pairs, x.n, y.n)
+
+
 def gh_branch_bound(
     x: FiniteMetricSpace, y: FiniteMetricSpace, budget: int | None = None
 ) -> GHResult:
     """Branch-and-bound over image assignments with certified bounds.
 
-    Bounds are seeded by |diam X - diam Y| below and the full relation (at
-    most max diam) above.  X points are assigned in decreasing eccentricity,
-    candidate images in increasing partial distortion, ties to the smallest
-    index.  For line-embedded spaces whose separation t exceeds twice the
-    incumbent distortion, assignments that can no longer extend to a
-    monotone selection are pruned: any completion would carry a
+    The incumbent starts as the best of the full relation (at most max
+    diam) and a few cheap correspondences; the lower bound is |diam X -
+    diam Y|.  While the gap is open, cheapest first, the profile bound
+    raises the lower bound and, for line spaces, the best staircase
+    correspondence replaces the incumbent when strictly better.  The search
+    stops as soon as the incumbent meets the lower bound, and skips every
+    candidate pair whose profile cost c(i, j) already reaches the
+    incumbent: no completion holding it can improve.
+
+    X points are assigned in decreasing eccentricity, candidate images in
+    increasing partial distortion, ties to the smallest index.  For
+    line-embedded spaces whose separation t exceeds twice the incumbent
+    distortion, assignments that can no longer extend to a monotone
+    selection are pruned: any completion would carry a
     betweenness-violating selection and hence distortion at least t/2.
 
-    When ``budget`` nodes are exhausted the search degrades to bounds only.
+    When ``budget`` nodes are exhausted the search degrades to bounds only:
+    the incumbent above and the diameter or profile bound below.
     """
     n, m = x.n, y.n
     den, dx, dy = scaled_int_matrices(x, y)
@@ -202,15 +370,26 @@ def gh_branch_bound(
 
     best_val, best_pairs = _seed_incumbent(x, y, dx, dy, max(diam_x, diam_y))
 
-    xs = x.line_coords.points if x.line_coords is not None else None
-    ys = y.line_coords.points if y.line_coords is not None else None
-    sep_x = None
-    sep_y = None
-    if xs is not None and ys is not None:
+    xs = ys = sep_x = sep_y = None
+    if x.line_coords is not None and y.line_coords is not None:
+        xs = int_coords(x.line_coords, den)
+        ys = int_coords(y.line_coords, den)
         if n >= 2:
-            sep_x = min(b - a for a, b in zip(xs, xs[1:])) * den
+            sep_x = min(b - a for a, b in zip(xs, xs[1:]))
         if m >= 2:
-            sep_y = min(b - a for a, b in zip(ys, ys[1:])) * den
+            sep_y = min(b - a for a, b in zip(ys, ys[1:]))
+
+    # cheapest first: each bound is computed only while the gap is open
+    costs: list[list[int]] = []
+    if best_val > lower_int:
+        costs = _profile_costs(dx, dy)
+        lower_int = max(lower_int, _profile_bound(costs))
+    if best_val > lower_int and xs is not None and ys is not None:
+        found = _best_staircase(xs, ys, best_val)
+        if found is not None:
+            stair_val, _ = int_distortion(found[1], dx, dy)
+            if stair_val < best_val:
+                best_val, best_pairs = stair_val, found[1]
 
     order1 = sorted(range(n), key=lambda i: (-max(dx[i]), i))
 
@@ -250,12 +429,18 @@ def gh_branch_bound(
             complete(cur)
             return
         j = uncovered[pos]
-        cands = sorted((delta_with(i, j, cur), i) for i in range(n))
+        cands = sorted(
+            (delta_with(i, j, cur), i) for i in range(n) if costs[i][j] < best_val
+        )
+        prior = None
         for nd, i in cands:
             if nd >= best_val:
                 break
+            if costs[i][j] >= best_val:
+                continue
             if sep_y is not None and sep_y > 2 * best_val:
-                prior = [(ys[j2], xs[i2]) for i2, j2 in asg[n:]]
+                if prior is None:
+                    prior = [(ys[j2], xs[i2]) for i2, j2 in asg[n:]]
                 if not _monotone_possible(ys[j], xs[i], prior):
                     continue
             asg.append((i, j))
@@ -279,12 +464,19 @@ def gh_branch_bound(
             stage2(0, [j for j in range(m) if j not in covered], cur)
             return
         i = order1[slot]
-        cands = sorted((delta_with(i, j, cur), j) for j in range(m))
+        row_c = costs[i]
+        cands = sorted(
+            (delta_with(i, j, cur), j) for j in range(m) if row_c[j] < best_val
+        )
+        prior = None
         for nd, j in cands:
             if nd >= best_val:
                 break
+            if row_c[j] >= best_val:
+                continue
             if sep_x is not None and sep_x > 2 * best_val:
-                prior = [(xs[i2], ys[j2]) for i2, j2 in asg]
+                if prior is None:
+                    prior = [(xs[i2], ys[j2]) for i2, j2 in asg]
                 if not _monotone_possible(xs[i], ys[j], prior):
                     continue
             asg.append((i, j))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -60,14 +61,20 @@ def test_dist_gh_exact_with_certificate(spaces, tmp_path, capsys):
 
 
 def test_dist_gh_bounds_only_still_exits_zero(tmp_path, capsys):
+    # a 14-point pair whose search is still open after 5000 nodes
     x = write(
         tmp_path / "bx.json",
-        {"kind": "points", "coords": ["0", "1/3", "2", "7"]},
+        {"kind": "points", "coords": [
+            "0", "3", "4", "6", "7", "8", "15", "16", "24", "25", "28", "30",
+            "31", "36"]},
     )
     y = write(
-        tmp_path / "by.json", {"kind": "points", "coords": ["0", "1", "5", "6"]}
+        tmp_path / "by.json",
+        {"kind": "points", "coords": [
+            "0", "1", "6", "14", "17", "20", "24", "27", "28", "29", "30", "32",
+            "35", "37"]},
     )
-    code = main(["dist-gh", x, y, "--method", "branch-bound", "--budget", "2"])
+    code = main(["dist-gh", x, y, "--method", "branch-bound", "--budget", "5000"])
     assert code == 0
     out = capsys.readouterr().out
     assert "bounds-only" in out
@@ -141,6 +148,23 @@ def test_verify_exits_1_on_theorem_suite_failure(monkeypatch, capsys):
     monkeypatch.setitem(cli.SUITES, "bounded-cloud", (broken, 10, True))
     assert main(["verify", "bounded-cloud"]) == 1
     assert "failures: 1" in capsys.readouterr().out
+
+
+def test_invariant_breach_exits_3(spaces, monkeypatch, capsys):
+    # a solver result with lower > upper is a defect, not malformed input
+    from netline import cli
+    from netline.solver import GHResult
+
+    def broken(x, y, budget=None):
+        return GHResult(F(1), F(0), None, None, 0)
+
+    monkeypatch.setattr(cli, "gh_branch_bound", broken)
+    code = main(["dist-gh", spaces["x"], spaces["y"], "--method", "branch-bound"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
+    assert "lower bound exceeds upper bound" in captured.err
+    assert captured.out == ""
 
 
 def test_parse_error_exits_2(tmp_path, capsys):

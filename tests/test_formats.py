@@ -118,9 +118,14 @@ def test_gh_certificate_roundtrip_exact():
 
 
 def test_gh_certificate_bounds_only():
-    x = FiniteMetricSpace.from_line(PointSet.of([0, F(1, 3), 2, 7]))
-    y = FiniteMetricSpace.from_line(PointSet.of([0, 1, 5, 6]))
-    res = gh_branch_bound(x, y, budget=2)
+    # a 14-point pair whose search is still open after 5000 nodes
+    x = FiniteMetricSpace.from_line(
+        PointSet.of([0, 3, 4, 6, 7, 8, 15, 16, 24, 25, 28, 30, 31, 36])
+    )
+    y = FiniteMetricSpace.from_line(
+        PointSet.of([0, 1, 6, 14, 17, 20, 24, 27, 28, 29, 30, 32, 35, 37])
+    )
+    res = gh_branch_bound(x, y, budget=5000)
     assert res.exact is None
     doc = gh_certificate_doc(res, x, y)
     assert doc["status"] == "bounds-only"

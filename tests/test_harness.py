@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from netline import (
     verify_bounded_cloud,
     verify_construction_bounds,
     verify_continuity,
+    verify_gh_bounds,
     verify_order_lemmas,
     verify_stability,
     verify_ultrametric_gh,
@@ -51,6 +53,21 @@ def test_report_renders_failures_with_instances():
     assert "suite: ultrametric-hausdorff" in text
     assert "failures: 0" in text
     assert "exact: yes" in text
+
+
+def test_gh_bounds_suite_passes_and_serialises_failures(monkeypatch):
+    cfg = GeneratorConfig(seed=4)
+    rep = verify_gh_bounds(cfg, cases=150)
+    assert rep.passed
+    assert rep.records[0].startswith("lower bound tight: ")
+    # an overshooting lower bound must surface with a replayable instance
+    real = harness.gh_lower_bound
+    monkeypatch.setattr(harness, "gh_lower_bound", lambda x, y: real(x, y) + 1)
+    rep = verify_gh_bounds(cfg, cases=20)
+    assert len(rep.failures) == 20
+    doc = json.loads(rep.failures[0].instance)
+    assert set(doc) == {"x", "y"}
+    assert "profile bound" in rep.failures[0].detail
 
 
 def test_shrinking_reaches_a_minimal_culprit():

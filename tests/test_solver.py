@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from netline import (
+    Correspondence,
     ExhaustiveLimitError,
     FiniteMetricSpace,
     PointSet,
@@ -26,7 +27,8 @@ from netline.harness import (
     random_point_set,
     random_scalar,
 )
-from netline.solver import GHResult
+from netline.correspondence import int_distortion, scaled_int_matrices
+from netline.solver import GHResult, gh_lower_bound, staircase_bound
 
 
 def line(*coords) -> FiniteMetricSpace:
@@ -121,14 +123,13 @@ def test_branch_bound_known_values():
 
 
 def test_budget_exhaustion_certified_bounds():
-    x = line(0, F(1, 3), 2, 7)
-    y = line(0, 1, 5, 6)
-    res = gh_branch_bound(x, y, budget=2)
+    # a 14-point pair whose search is still open after 5000 nodes
+    x = line(0, 3, 4, 6, 7, 8, 15, 16, 24, 25, 28, 30, 31, 36)
+    y = line(0, 1, 6, 14, 17, 20, 24, 27, 28, 29, 30, 32, 35, 37)
+    res = gh_branch_bound(x, y, budget=5000)
     assert res.exact is None and res.optimal is None
-    assert res.lower == abs(diam(x) - diam(y)) / 2
-    assert res.lower <= res.upper
     full = gh_branch_bound(x, y)
-    assert res.lower <= full.exact <= res.upper
+    assert abs(diam(x) - diam(y)) / 2 <= res.lower <= full.exact <= res.upper
     # the upper-bound witness is a genuine correspondence attaining it
     assert distortion(res.upper_witness, x, y).value == 2 * res.upper
 
@@ -209,3 +210,70 @@ def test_ghresult_invariants():
         GHResult(F(1), F(0), None, None, 0)
     with pytest.raises(ValueError):
         GHResult(F(0), F(1), F(1), None, 0)
+
+
+def random_pairs(seed: int, count: int, kind: str):
+    """Pairs of spaces with at most 5 points: line subsets, or band metrics
+    and line metrics both given as matrices."""
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(seed=0)
+    for _ in range(count):
+        if kind == "line":
+            yield (
+                FiniteMetricSpace.from_line(random_point_set(rng, cfg, 1, 5)),
+                FiniteMetricSpace.from_line(random_point_set(rng, cfg, 1, 5)),
+            )
+        else:
+            yield tuple(
+                FiniteMetricSpace.from_matrix(
+                    random_metric_space(rng, cfg, max_points=5).dist
+                )
+                for _ in range(2)
+            )
+
+
+def test_polynomial_bounds_bracket_exact_on_line_pairs():
+    for x, y in random_pairs(29, 300, "line"):
+        exact = gh_exact(x, y).exact
+        low = gh_lower_bound(x, y)
+        assert abs(diam(x) - diam(y)) / 2 <= low <= exact
+        high, corr = staircase_bound(x, y)
+        assert exact <= high
+        # the DP's offset range is the true distortion of its staircase
+        den, dx, dy = scaled_int_matrices(x, y)
+        assert isinstance(corr, Correspondence)
+        assert int_distortion(corr.pairs, dx, dy)[0] == 2 * den * high
+        assert gh_branch_bound(x, y).exact == exact
+
+
+def test_profile_bound_below_exact_on_matrix_pairs():
+    for x, y in random_pairs(30, 300, "matrix"):
+        exact = gh_exact(x, y).exact
+        assert abs(diam(x) - diam(y)) / 2 <= gh_lower_bound(x, y) <= exact
+        assert gh_branch_bound(x, y).exact == exact
+
+
+def test_budgeted_bounds_bracket_exact():
+    for kind in ("line", "matrix"):
+        for x, y in random_pairs(31, 150, kind):
+            exact = gh_exact(x, y).exact
+            for budget in (0, 1, 3):
+                res = gh_branch_bound(x, y, budget=budget)
+                assert gh_lower_bound(x, y) <= res.lower <= exact <= res.upper
+                assert distortion(res.upper_witness, x, y).value == 2 * res.upper
+                assert res.exact in (None, exact)
+
+
+def test_profile_bound_two_point_example():
+    # rows {0, 1} and {0, 3} lie at Hausdorff distance c = 2, so every
+    # correspondence has distortion at least 2 and d_GH >= 1
+    x, y = line(0, 1), line(0, 3)
+    res = gh_branch_bound(x, y, budget=0)
+    assert gh_lower_bound(x, y) == 1
+    assert res.lower == 1 == gh_exact(x, y).exact
+
+
+def test_staircase_needs_line_spaces():
+    band = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="line"):
+        staircase_bound(band, line(0, 1))
