@@ -33,6 +33,11 @@ INPUTS = {
         "0", "3", "4", "9", "11", "14", "20", "22", "27", "31", "35", "39"]},
     "b2.json": {"kind": "points", "coords": [
         "1", "2", "6", "8", "13", "17", "18", "24", "29", "30", "33", "38"]},
+    "ivp.json": {"kind": "intervals", "intervals": [
+        ["-29/7", "-11/5"], ["-3/13", "-3/13"], ["5/11", "19/17"],
+        ["23/19", "41/13"]]},
+    "pp.json": {"kind": "points", "coords": [
+        "-61/11", "-17/7", "-2/5", "7/17", "13/19", "31/13"]},
     "c1.json": {"kind": "points", "coords": [
         "0", "3", "4", "6", "7", "8", "15", "16", "24", "25", "28", "30", "31",
         "36"]},
@@ -46,6 +51,7 @@ CASES = [
     ("dist-h-points", ["dist-h", "p1.json", "p2.json"], None),
     ("dist-h-intervals", ["dist-h", "iv.json", "p2.json"], None),
     ("dist-h-window", ["dist-h", "win.json", "iv.json"], None),
+    ("dist-h-coprime", ["dist-h", "ivp.json", "pp.json"], None),
     ("dist-gh-line", ["dist-gh", "p1.json", "p2.json", "--method", "exact",
                       "--certificate", "line.cert.json"], "line.cert.json"),
     ("dist-gh-matrix", ["dist-gh", "mx.json", "m3.json", "--method", "exact",
