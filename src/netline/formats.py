@@ -14,7 +14,7 @@ from typing import Any, Union
 
 from .correspondence import Correspondence, FiniteMetricSpace, distortion
 from .geometry import IntervalUnion, PointSet, Window, scalar_str
-from .solver import GHResult
+from .solver import EXHAUSTIVE_LIMIT, GHResult, gh_exact
 
 SpaceObject = Union[PointSet, IntervalUnion, Window]
 
@@ -197,7 +197,14 @@ def gh_certificate_doc(
 
 
 def verify_gh_certificate(doc: dict) -> bool:
-    """Recompute the certificate's claims from its own payload."""
+    """Recompute the certificate's claims from its own payload.
+
+    The upper bound is always re-derived from the witnessed correspondence.
+    When |X|·|Y| is within the exhaustive limit the instance is also
+    re-solved with `gh_exact`, and any claimed bound or exact value that
+    the true distance contradicts is refused; above the limit, the lower
+    bound and the exact value are trusted.
+    """
 
     def field(key: str) -> Any:
         return _require(doc, key, f"$.{key}")
@@ -208,6 +215,14 @@ def verify_gh_certificate(doc: dict) -> bool:
     upper = parse_scalar(field("upper"), "$.upper")
     if lower > upper:
         return False
+    if x.n * y.n <= EXHAUSTIVE_LIMIT:
+        truth = gh_exact(x, y).exact
+        if not lower <= truth <= upper:
+            return False
+        if field("status") == "exact" and (
+            parse_scalar(field("exact"), "$.exact") != truth
+        ):
+            return False
     if "correspondence" not in doc:
         return field("status") == "bounds-only"
     corr = Correspondence.of(

@@ -3,13 +3,18 @@
 Every coordinate, radius and distance is a `fractions.Fraction`; nothing in
 this module ever rounds.  The ambient real line is modelled by a finite
 `Window`, and covering radii are always taken relative to one.
+
+Distances between sets (Hausdorff, point-to-set, covering radius) share one
+integer kernel: scaled by 2·lcm of the endpoint denominators, every endpoint
+and gap midpoint is an integer, and one O(n + m) merge gives a directed sup.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Union
 
 Scalar = Fraction
@@ -144,14 +149,6 @@ class IntervalUnion:
     def __contains__(self, x: object) -> bool:
         return any(a <= x <= b for a, b in self.intervals)
 
-    @property
-    def lo(self) -> Fraction:
-        return self.intervals[0][0]
-
-    @property
-    def hi(self) -> Fraction:
-        return self.intervals[-1][1]
-
     def subset_of(self, other: "IntervalUnion") -> bool:
         return all(
             any(oa <= a and b <= ob for oa, ob in other.intervals)
@@ -191,15 +188,13 @@ class Window:
     def contains(self, points: PointSet) -> bool:
         return self.lo <= points.first and points.last <= self.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
 
 SetOnLine = Union[PointSet, IntervalUnion]
 
+Spans = tuple[tuple[Fraction, Fraction], ...]
 
-def _spans(s: SetOnLine) -> tuple[tuple[Fraction, Fraction], ...]:
+
+def _spans(s: SetOnLine) -> Spans:
     if isinstance(s, PointSet):
         return tuple((p, p) for p in s.points)
     if isinstance(s, IntervalUnion):
@@ -209,49 +204,55 @@ def _spans(s: SetOnLine) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def point_to_set_distance(p: ScalarLike, s: SetOnLine) -> Fraction:
     """Exact distance from a point to the nearest component of the set."""
-    return _dist_to_spans(as_scalar(p), _spans(s))
-
-
-def _dist_to_spans(x: Fraction, spans: tuple[tuple[Fraction, Fraction], ...]) -> Fraction:
-    """Distance from x to sorted disjoint spans, by bisection: O(log n)."""
-    # only the last span starting at or before x and the first one starting
-    # after it can be nearest
-    k = bisect_right(spans, x, key=lambda span: span[0])
-    candidates = []
-    if k > 0:
-        candidates.append(max(x - spans[k - 1][1], Fraction(0)))
-    if k < len(spans):
-        candidates.append(spans[k][0] - x)
-    return min(candidates)
+    x = as_scalar(p)
+    scale, (src, dst) = _scaled(((x, x),), _spans(s))
+    return Fraction(_directed_sup(src, dst), scale)
 
 
 def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     """Exact Hausdorff distance between two sets on the line.
 
-    The directed sup over a continuum is piecewise linear in the moving
-    point, so it is attained at an interval endpoint of the source or at a
-    gap midpoint of the target that falls inside the source.  A finite
-    sweep over those critical points is exact.
+    Each directed sup is attained at an endpoint of the source or at a gap
+    midpoint of the target that lies in the source.  After one lcm, both
+    sets are scaled by s = 2·lcm(denominators): endpoints become even ints,
+    so every gap midpoint and half gap is an int too.  One O(n + m) forward
+    merge per direction then finds the sup, and only the result is divided.
     """
-    sa, sb = _spans(a), _spans(b)
-    return max(_directed_sup(sa, sb), _directed_sup(sb, sa))
+    scale, (sa, sb) = _scaled(_spans(a), _spans(b))
+    return Fraction(max(_directed_sup(sa, sb), _directed_sup(sb, sa)), scale)
 
 
-def _directed_sup(src: tuple[tuple[Fraction, Fraction], ...],
-                  dst: tuple[tuple[Fraction, Fraction], ...]) -> Fraction:
-    critical: list[Fraction] = []
-    for a, b in src:
-        critical.append(a)
-        critical.append(b)
-    for (_, b0), (a1, _) in zip(dst, dst[1:]):
-        mid = (b0 + a1) / 2
-        if _dist_to_spans(mid, src) == 0:
-            critical.append(mid)
-    best = Fraction(0)
-    for x in critical:
-        d = _dist_to_spans(x, dst)
+def _scaled(*span_lists: Spans) -> tuple[int, list[list[int]]]:
+    """The scale 2·lcm(denominators), and each span list as flat ints."""
+    scale = 2 * lcm(*{v.denominator for spans in span_lists
+                      for span in spans for v in span})
+    return scale, [[v.numerator * (scale // v.denominator)
+                    for span in spans for v in span] for spans in span_lists]
+
+
+def _directed_sup(src: list[int], dst: list[int]) -> int:
+    """sup over x in src of d(x, dst); both flat sorted [lo, hi, lo, hi, ...]."""
+    best, n, k = 0, len(dst), 0
+    for x in src:
+        while k < n and dst[k] < x:
+            k += 1
+        if k % 2:
+            continue  # x lies inside a span of dst
+        d = x - dst[k - 1] if k else dst[0] - x
+        if 0 < k < n and dst[k] - x < d:
+            d = dst[k] - x
         if d > best:
             best = d
+    # a gap midpoint lies half the gap from dst; it counts if it is in src
+    m, i = len(src), 0
+    for k in range(1, n - 1, 2):
+        half = (dst[k + 1] - dst[k]) // 2
+        if half > best:
+            mid = dst[k] + half
+            while i < m and src[i] < mid:
+                i += 1
+            if i % 2:  # inside a span of src; endpoints were counted above
+                best = half
     return best
 
 
@@ -267,12 +268,8 @@ def covering_radius(a: PointSet, w: Window) -> Fraction:
     """How far a point of the window can be from the set; d_H(A, window)."""
     if not w.contains(a):
         raise ValueError("point set must lie inside the window")
-    best = max(a.first - w.lo, w.hi - a.last)
-    for p, q in zip(a.points, a.points[1:]):
-        half_gap = (q - p) / 2
-        if half_gap > best:
-            best = half_gap
-    return best
+    scale, (src, dst) = _scaled(((w.lo, w.hi),), _spans(a))
+    return Fraction(_directed_sup(src, dst), scale)
 
 
 def is_eps_net(a: PointSet, w: Window, eps: ScalarLike) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,35 @@ def test_gh_certificate_bounds_only():
     doc = gh_certificate_doc(res, x, y)
     assert doc["status"] == "bounds-only"
     assert verify_gh_certificate(doc)
+
+
+def test_forged_gh_certificate_is_refused():
+    # the full relation on X={0,1}, Y={0,3} has distortion 3, so upper 3/2 is
+    # honestly witnessed; the claimed lower and exact 3/2 are not: d_GH = 1
+    x = FiniteMetricSpace.from_line(PointSet.of([0, 1]))
+    y = FiniteMetricSpace.from_line(PointSet.of([0, 3]))
+    assert gh_exact(x, y).exact == 1
+    forged = {
+        "kind": "gh-certificate", "status": "exact",
+        "lower": "3/2", "upper": "3/2", "exact": "3/2", "nodes_explored": 0,
+        "x": format_metric_space(x), "y": format_metric_space(y),
+        "correspondence": [[0, 0], [0, 1], [1, 0], [1, 1]],
+        "distortion": "3", "witness": [[0, 0], [0, 1]],
+    }
+    assert not verify_gh_certificate(forged)
+    # the same relation as an honest bounds-only claim verifies
+    honest = dict(forged, status="bounds-only", lower="1", exact=None)
+    assert verify_gh_certificate(honest)
+    # a bounds-only claim whose lower bound overshoots d_GH
+    assert not verify_gh_certificate(dict(forged, status="bounds-only", exact=None))
+
+
+def test_golden_gh_certificates_verify():
+    golden = Path(__file__).parent / "golden"
+    certs = sorted(golden.glob("*.cert.json"))
+    assert len(certs) == 4
+    for path in certs:
+        assert verify_gh_certificate(json.loads(path.read_text(encoding="utf-8")))
 
 
 def test_gh_certificate_missing_field_is_a_format_error():

@@ -161,6 +161,50 @@ def test_hausdorff_matches_sup_norm_oracle():
         assert hausdorff(a, b) == sup_norm_hausdorff(a, b)
 
 
+COPRIME_DENOMINATORS = (1, 2, 97, 101, 103)
+
+
+def coprime_scalar(rng: random.Random, lo: int, hi: int) -> F:
+    q = rng.choice(COPRIME_DENOMINATORS)
+    return F(rng.randint(lo * q, hi * q), q)
+
+
+def rich_set(rng: random.Random, must_touch=()):
+    """A point set or union of up to 40 parts over [-20, 20], with pairwise
+    coprime denominators, zero-width spans, and must_touch as endpoints."""
+    parts = rng.randint(1, rng.choice((1, 4, 12, 40)))
+    pts = [coprime_scalar(rng, -20, 20) for _ in range(parts)]
+    if rng.random() < 0.4:
+        return PointSet.of(pts + list(must_touch))
+    spans = [(a, a + rng.choice((F(0), coprime_scalar(rng, 0, 2)))) for a in pts]
+    for t in must_touch:
+        w = coprime_scalar(rng, 0, 1)
+        spans.append(rng.choice(((t, t), (t, t + w), (t - w, t))))
+    return IntervalUnion.merge(spans)
+
+
+def gap_midpoints(s) -> list[F]:
+    return [(b0 + a1) / 2 for (_, b0), (a1, _) in zip(_spans(s), _spans(s)[1:])]
+
+
+def test_hausdorff_matches_oracle_on_coprime_denominators():
+    rng = random.Random(106)
+    touched = 0
+    for _ in range(600):
+        b = rich_set(rng)
+        mids = gap_midpoints(b)
+        # half the time, put a gap midpoint of b exactly on an endpoint of a
+        touch = [rng.choice(mids)] if mids and rng.random() < 0.5 else []
+        a = rich_set(rng, touch)
+        touched += any(t in span for span in _spans(a) for t in touch)
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert hausdorff(a, b) == sup_norm_hausdorff(a, b)
+        x = coprime_scalar(rng, -25, 25)
+        assert point_to_set_distance(x, a) == linear_dist_to_spans(x, _spans(a))
+    assert touched >= 100
+
+
 def test_hausdorff_metric_axioms():
     rng = random.Random(102)
     for _ in range(200):
