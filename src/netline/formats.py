@@ -201,9 +201,9 @@ def verify_gh_certificate(doc: dict) -> bool:
 
     The upper bound is always re-derived from the witnessed correspondence.
     When |X|·|Y| is within the exhaustive limit the instance is also
-    re-solved with `gh_exact`, and any claimed bound or exact value that
-    the true distance contradicts is refused; above the limit, the lower
-    bound and the exact value are trusted.
+    re-solved with `gh_exact`, and bounds that do not bracket the true
+    distance are refused; an exact claim must equal both bounds, so it is
+    checked too.  Above the limit, the lower bound is trusted.
     """
 
     def field(key: str) -> Any:
@@ -215,14 +215,8 @@ def verify_gh_certificate(doc: dict) -> bool:
     upper = parse_scalar(field("upper"), "$.upper")
     if lower > upper:
         return False
-    if x.n * y.n <= EXHAUSTIVE_LIMIT:
-        truth = gh_exact(x, y).exact
-        if not lower <= truth <= upper:
-            return False
-        if field("status") == "exact" and (
-            parse_scalar(field("exact"), "$.exact") != truth
-        ):
-            return False
+    if x.n * y.n <= EXHAUSTIVE_LIMIT and not lower <= gh_exact(x, y).exact <= upper:
+        return False
     if "correspondence" not in doc:
         return field("status") == "bounds-only"
     corr = Correspondence.of(
