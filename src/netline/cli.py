@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .errors import ExhaustiveLimitError, InvariantError
+from .errors import InvariantError
 from .formats import (
     FormatError,
     SpaceObject,
@@ -29,6 +29,7 @@ from .formats import (
     parse_scalar,
 )
 from .geometry import IntervalUnion, PointSet, Window, scalar_str
+from .harness import SUITES
 from .homotopy import trace as run_trace
 from .homotopy import trace_csv
 from .solver import EXHAUSTIVE_LIMIT, gh_branch_bound, gh_exact
@@ -127,27 +128,16 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-SUITES = {
-    "ultrametric-h": (harness.verify_ultrametric_hausdorff, 10_000, True),
-    "ultrametric-gh": (harness.verify_ultrametric_gh, 1_000, True),
-    "bounded-cloud": (harness.verify_bounded_cloud, 1_000, True),
-    "continuity": (harness.verify_continuity, 10_000, True),
-    "stability": (harness.verify_stability, 10_000, True),
-    "order-lemmas": (harness.verify_order_lemmas, 1_000, True),
-    "construction-bounds": (harness.verify_construction_bounds, 500, True),
-    "lambda-hits": (harness.lambda_bound_counterexample_search, 10_000, False),
-    "gh-bounds": (harness.verify_gh_bounds, 1_000, True),
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.cases is not None and args.cases < 1:
+        raise FormatError("--cases", "expected a positive number of cases")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     cfg = harness.GeneratorConfig(seed=args.seed)
     status = 0
     chunks = []
     for name in names:
         fn, default_cases, theorem_backed = SUITES[name]
-        report = fn(cfg, cases=args.cases if args.cases else default_cases)
+        report = fn(cfg, cases=default_cases if args.cases is None else args.cases)
         chunks.append(report.render())
         if theorem_backed and not report.passed:
             status = 1
@@ -244,12 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 3
-    except FormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ExhaustiveLimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -2,19 +2,26 @@
 
 Theorem-backed suites (ultrametric, bounded cloud, GH bounds, continuity,
 stability, order lemmas, construction bounds) must report zero failures:
-any failure is a defect, and the failing instance is shrunk by greedy point
-removal and serialized so the case can be replayed verbatim.  Experiment operations
-(homothety, geometric progression, the lambda-bound counterexample search)
-are trend reports, not pass/fail checks.
+any failure is a defect.  Experiment operations (homothety, geometric
+progression, the lambda-bound counterexample search) are trend reports, not
+pass/fail checks.
 
-Everything is driven by one seeded ``random.Random``; identical
-configurations reproduce identical reports byte for byte.
+Every suite is one row of ``SUITES`` and runs through one runner.  The
+row's ``draw(rng, cfg, index)`` returns case ``index``'s ``(check,
+instance)`` items, taking every random choice from the suite's seeded
+``random.Random``, so identical configurations reproduce identical reports
+byte for byte.  ``check(tally, **instance)`` returns a failure detail or
+``None`` and may count into the suite's ``Tally``, which the row's
+``records`` renders.  A failing instance is shrunk by greedy point removal
+(``shrink_instance``) and serialized, so the case can be replayed verbatim
+through ``netline.formats``.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
@@ -22,10 +29,9 @@ from typing import Callable, Sequence
 
 from .constructions import extend_correspondence, segment_correspondence
 from .correspondence import Correspondence, FiniteMetricSpace, diam, distortion
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .formats import format_metric_space, format_space
 from .geometry import (
-    IntervalUnion,
     PointSet,
     ScalarLike,
     Window,
@@ -34,7 +40,7 @@ from .geometry import (
     hausdorff,
     scalar_str,
 )
-from .homotopy import contract, continuity_in_lambda, stability_in_space
+from .homotopy import continuity_in_lambda, stability_in_space
 from .ordering import check_order_preservation, order_violation_bound
 from .solver import (
     EXHAUSTIVE_LIMIT,
@@ -44,6 +50,10 @@ from .solver import (
     staircase_bound,
 )
 
+MIN_POINTS = 1
+MAX_POINTS = 6
+DENOMINATOR_BOUND = 64
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -51,10 +61,6 @@ class GeneratorConfig:
 
     seed: int = 0
     window: Window = Window(Fraction(0), Fraction(10))
-    min_points: int = 1
-    max_points: int = 6
-    min_separation: Fraction = Fraction(0)
-    denominator_bound: int = 64
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,6 @@ class SuiteReport:
     seed: int
     cases: int
     failures: tuple[CaseFailure, ...] = ()
-    exact: bool = True
     records: tuple[str, ...] = ()
 
     @property
@@ -83,7 +88,7 @@ class SuiteReport:
             f"seed: {self.seed}",
             f"cases: {self.cases}",
             f"failures: {len(self.failures)}",
-            f"exact: {'yes' if self.exact else 'no'}",
+            "exact: yes",
         ]
         lines.extend(f"record: {r}" for r in self.records)
         for f in self.failures:
@@ -92,15 +97,29 @@ class SuiteReport:
         return "\n".join(lines) + "\n"
 
 
-def _instance_json(**parts: object) -> str:
+class Tally(Counter):
+    """What a suite's checks count over one run, for its records.
+
+    ``case`` is the index of the case being checked; ``examples`` keeps
+    example record lines in the order they were found.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.case = 0
+        self.examples: list[str] = []
+
+
+Check = Callable[..., "str | None"]
+
+
+def _instance_json(instance: dict) -> str:
     doc: dict = {}
-    for key, val in parts.items():
-        if isinstance(val, (PointSet, IntervalUnion, Window)):
+    for key, val in instance.items():
+        if isinstance(val, (PointSet, Window)):
             doc[key] = format_space(val)
         elif isinstance(val, FiniteMetricSpace):
             doc[key] = format_metric_space(val)
-        elif isinstance(val, Correspondence):
-            doc[key] = [list(p) for p in val.pairs]
         elif isinstance(val, Fraction):
             doc[key] = scalar_str(val)
         else:
@@ -128,22 +147,16 @@ def random_lambda(rng: random.Random, qmax: int = 16) -> Fraction:
 def random_point_set(
     rng: random.Random,
     cfg: GeneratorConfig,
-    min_points: int | None = None,
-    max_points: int | None = None,
+    min_points: int = MIN_POINTS,
+    max_points: int = MAX_POINTS,
 ) -> PointSet:
-    lo_n = cfg.min_points if min_points is None else min_points
-    hi_n = cfg.max_points if max_points is None else max_points
-    k = rng.randint(lo_n, hi_n)
+    k = rng.randint(min_points, max_points)
     accepted: list[Fraction] = []
     attempts = 0
     while len(accepted) < k and attempts < 64 * k:
         attempts += 1
-        c = random_scalar(rng, cfg.window.lo, cfg.window.hi, cfg.denominator_bound)
-        if cfg.min_separation > 0:
-            ok = all(abs(c - p) >= cfg.min_separation for p in accepted)
-        else:
-            ok = c not in accepted
-        if ok:
+        c = random_scalar(rng, cfg.window.lo, cfg.window.hi, DENOMINATOR_BOUND)
+        if c not in accepted:
             accepted.append(c)
     return PointSet(tuple(sorted(accepted)))
 
@@ -159,7 +172,7 @@ def random_metric_space(
     if rng.random() < 0.5:
         pts = random_point_set(rng, cfg, min_points=n, max_points=n)
         return FiniteMetricSpace.from_line(pts)
-    q = rng.randint(1, cfg.denominator_bound)
+    q = rng.randint(1, DENOMINATOR_BOUND)
     scale = random_scalar(rng, Fraction(1, 2), Fraction(3), 8)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -169,208 +182,210 @@ def random_metric_space(
     return FiniteMetricSpace(tuple(tuple(row) for row in rows))
 
 
-def shrink_point_pair(
-    a: PointSet,
-    b: PointSet,
-    still_fails: Callable[[PointSet, PointSet], bool],
-) -> tuple[PointSet, PointSet]:
-    """Greedily drop points from either set while the failure persists."""
-    changed = True
-    while changed:
-        changed = False
-        for which in (0, 1):
-            cur = a if which == 0 else b
-            if len(cur) <= 1:
+# ---------------------------------------------------------------------------
+# the runner
+
+
+def _drop_point(
+    value: PointSet | FiniteMetricSpace, k: int
+) -> PointSet | FiniteMetricSpace:
+    """``value`` without its ``k``-th point."""
+    if isinstance(value, PointSet):
+        return PointSet(value.points[:k] + value.points[k + 1 :])
+    if isinstance(value.metric, PointSet):
+        return FiniteMetricSpace(_drop_point(value.metric, k))
+    rows = value.metric[:k] + value.metric[k + 1 :]
+    return FiniteMetricSpace(tuple(row[:k] + row[k + 1 :] for row in rows))
+
+
+def shrink_instance(check: Check, instance: dict, detail: str) -> tuple[dict, str]:
+    """Greedily drop points from a failing instance while ``check`` fails.
+
+    Each step removes one point from a ``PointSet`` or ``FiniteMetricSpace``
+    field, never its last one, and keeps the first smaller instance that
+    still fails; the scan then starts again at the first field.  A candidate
+    the check rejects with a ``ValueError`` lies outside its domain and
+    counts as passing; an ``InvariantError`` is a library defect and
+    propagates.  Re-runs count into a throwaway ``Tally``.  Returns the
+    shrunk instance and its failure detail.
+    """
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for key, value in instance.items():
+            if not isinstance(value, (PointSet, FiniteMetricSpace)):
                 continue
-            for k in range(len(cur)):
-                trimmed = PointSet(cur.points[:k] + cur.points[k + 1 :])
-                cand_a, cand_b = (trimmed, b) if which == 0 else (a, trimmed)
-                if still_fails(cand_a, cand_b):
-                    a, b = cand_a, cand_b
-                    changed = True
+            size = len(value) if isinstance(value, PointSet) else value.n
+            for k in range(size if size > 1 else 0):
+                trial = {**instance, key: _drop_point(value, k)}
+                try:
+                    found = check(Tally(), **trial)
+                except InvariantError:
+                    raise
+                except ValueError:
+                    continue
+                if found is not None:
+                    instance, detail, shrunk = trial, found, True
                     break
-            if changed:
+            if shrunk:
                 break
-    return a, b
+    return instance, detail
+
+
+def _suite(
+    report: str,
+    cases: int,
+    theorem_backed: bool,
+    draw: Callable[[random.Random, GeneratorConfig, int], list[tuple[Check, dict]]],
+    records: Callable[[Tally, int], tuple[str, ...]] | None = None,
+) -> tuple[Callable[..., SuiteReport], int, bool]:
+    """A ``SUITES`` value: the suite's verify function (documented by
+    ``draw``), its default case count and whether it is theorem-backed."""
+
+    def verify(cfg: GeneratorConfig, cases: int = cases) -> SuiteReport:
+        rng = random.Random(cfg.seed)
+        tally = Tally()
+        failures = []
+        for index in range(cases):
+            tally.case = index
+            for check, instance in draw(rng, cfg, index):
+                detail = check(tally, **instance)
+                if detail is not None:
+                    instance, detail = shrink_instance(check, instance, detail)
+                    failures.append(
+                        CaseFailure(index, _instance_json(instance), detail)
+                    )
+        shown = records(tally, cases) if records else ()
+        return SuiteReport(report, cfg.seed, cases, tuple(failures), shown)
+
+    verify.__doc__ = draw.__doc__
+    return verify, cases, theorem_backed
 
 
 # ---------------------------------------------------------------------------
-# theorem-backed suites
+# suites: each draw function states what its suite certifies
 
 
-def verify_ultrametric_hausdorff(
-    cfg: GeneratorConfig, cases: int = 10_000
-) -> SuiteReport:
+def _point_pair(rng: random.Random, cfg: GeneratorConfig, max_points: int) -> dict:
+    a = random_point_set(rng, cfg, max_points=max_points)
+    b = random_point_set(rng, cfg, max_points=max_points)
+    return {"a": a, "b": b, "window": cfg.window}
+
+
+def _draw_ultrametric_h(rng, cfg, index):
     """d_H(A, B) never exceeds the larger covering radius, exactly."""
-    rng = random.Random(cfg.seed)
-    w = cfg.window
-    failures: list[CaseFailure] = []
-    for idx in range(cases):
-        a = random_point_set(rng, cfg)
-        b = random_point_set(rng, cfg)
-
-        def bad(pa: PointSet, pb: PointSet) -> bool:
-            return hausdorff(pa, pb) > max(
-                covering_radius(pa, w), covering_radius(pb, w)
-            )
-
-        if bad(a, b):
-            a, b = shrink_point_pair(a, b, bad)
-            failures.append(
-                CaseFailure(
-                    idx,
-                    _instance_json(a=a, b=b, window=w),
-                    f"d_H = {hausdorff(a, b)} exceeds both covering radii",
-                )
-            )
-    return SuiteReport("ultrametric-hausdorff", cfg.seed, cases, tuple(failures))
+    return [(_check_ultrametric_h, _point_pair(rng, cfg, MAX_POINTS))]
 
 
-def verify_ultrametric_gh(cfg: GeneratorConfig, cases: int = 1_000) -> SuiteReport:
+def _check_ultrametric_h(tally, a, b, window):
+    dh = hausdorff(a, b)
+    if dh > max(covering_radius(a, window), covering_radius(b, window)):
+        return f"d_H = {dh} exceeds both covering radii"
+    return None
+
+
+def _draw_ultrametric_gh(rng, cfg, index):
     """GH distance of two line subsets never exceeds the larger covering
     radius; checked through the exact Hausdorff chain and, where the solver
     finishes, with the solver-exact value."""
-    rng = random.Random(cfg.seed)
-    w = cfg.window
-    failures: list[CaseFailure] = []
-    solver_exact = 0
-    for idx in range(cases):
-        a = random_point_set(rng, cfg, max_points=4)
-        b = random_point_set(rng, cfg, max_points=4)
-        bound = max(covering_radius(a, w), covering_radius(b, w))
-        dh = hausdorff(a, b)
-        detail = None
-        if dh > bound:
-            detail = f"d_H chain broke: {dh} > {bound}"
-        else:
-            res = gh_branch_bound(
-                FiniteMetricSpace.from_line(a), FiniteMetricSpace.from_line(b)
-            )
-            value = res.exact if res.exact is not None else res.upper
-            if res.exact is not None:
-                solver_exact += 1
-            if value > dh or value > bound:
-                detail = f"solver value {value} beats d_H {dh} or bound {bound}"
-        if detail is not None:
-            failures.append(
-                CaseFailure(idx, _instance_json(a=a, b=b, window=w), detail)
-            )
-    return SuiteReport(
-        "ultrametric-gh",
-        cfg.seed,
-        cases,
-        tuple(failures),
-        records=(f"solver-exact cases: {solver_exact}/{cases}",),
+    return [(_check_ultrametric_gh, _point_pair(rng, cfg, 4))]
+
+
+def _check_ultrametric_gh(tally, a, b, window):
+    bound = max(covering_radius(a, window), covering_radius(b, window))
+    dh = hausdorff(a, b)
+    if dh > bound:
+        return f"d_H chain broke: {dh} > {bound}"
+    res = gh_branch_bound(
+        FiniteMetricSpace.from_line(a), FiniteMetricSpace.from_line(b)
     )
+    tally["solver exact"] += res.exact is not None
+    value = res.exact if res.exact is not None else res.upper
+    if value > dh or value > bound:
+        return f"solver value {value} beats d_H {dh} or bound {bound}"
+    return None
 
 
-def verify_bounded_cloud(cfg: GeneratorConfig, cases: int = 1_000) -> SuiteReport:
+def _space_pair(rng: random.Random, cfg: GeneratorConfig) -> dict:
+    x = random_metric_space(rng, cfg)
+    return {"x": x, "y": random_metric_space(rng, cfg)}
+
+
+def _draw_bounded_cloud(rng, cfg, index):
     """Diameter sandwich: |diam X - diam Y|/2 <= d_GH <= max(diam)/2."""
-    rng = random.Random(cfg.seed)
-    failures: list[CaseFailure] = []
-    for idx in range(cases):
-        x = random_metric_space(rng, cfg)
-        y = random_metric_space(rng, cfg)
-        value = gh_exact(x, y).exact
-        assert value is not None
-        low = abs(diam(x) - diam(y)) / 2
-        high = max(diam(x), diam(y)) / 2
-        if not low <= value <= high:
-            failures.append(
-                CaseFailure(
-                    idx,
-                    _instance_json(x=x, y=y),
-                    f"sandwich broke: {low} <= {value} <= {high}",
-                )
-            )
-    return SuiteReport("bounded-cloud", cfg.seed, cases, tuple(failures))
+    return [(_check_bounded_cloud, _space_pair(rng, cfg))]
 
 
-def verify_gh_bounds(cfg: GeneratorConfig, cases: int = 1_000) -> SuiteReport:
+def _check_bounded_cloud(tally, x, y):
+    value = gh_exact(x, y).exact
+    assert value is not None
+    low = abs(diam(x) - diam(y)) / 2
+    high = max(diam(x), diam(y)) / 2
+    if not low <= value <= high:
+        return f"sandwich broke: {low} <= {value} <= {high}"
+    return None
+
+
+def _draw_gh_bounds(rng, cfg, index):
     """The solver's polynomial bounds bracket the exact GH distance.
 
     The profile lower bound never exceeds ``gh_exact``; for two line spaces
     the staircase upper bound never falls below it, and its correspondence
     has exactly the distortion the staircase DP reports.
     """
-    rng = random.Random(cfg.seed)
-    failures: list[CaseFailure] = []
-    lower_tight = line_pairs = upper_tight = 0
-    for idx in range(cases):
-        x = random_metric_space(rng, cfg)
-        y = random_metric_space(rng, cfg)
-        value = gh_exact(x, y).exact
-        assert value is not None
-        low = gh_lower_bound(x, y)
-        lower_tight += low == value
-        detail = None
-        if low > value:
-            detail = f"profile bound {low} exceeds d_GH {value}"
-        elif x.line_coords is not None and y.line_coords is not None:
-            line_pairs += 1
-            high, corr = staircase_bound(x, y)
-            upper_tight += high == value
-            if high < value:
-                detail = f"staircase bound {high} is below d_GH {value}"
-            elif distortion(corr, x, y).value != 2 * high:
-                detail = f"staircase correspondence does not attain {high}"
-        if detail is not None:
-            failures.append(CaseFailure(idx, _instance_json(x=x, y=y), detail))
-    return SuiteReport(
-        "gh-bounds",
-        cfg.seed,
-        cases,
-        tuple(failures),
-        records=(
-            f"lower bound tight: {lower_tight}/{cases}",
-            f"staircase tight: {upper_tight}/{line_pairs} line pairs",
-        ),
-    )
+    return [(_check_gh_bounds, _space_pair(rng, cfg))]
 
 
-def verify_continuity(cfg: GeneratorConfig, cases: int = 10_000) -> SuiteReport:
+def _check_gh_bounds(tally, x, y):
+    value = gh_exact(x, y).exact
+    assert value is not None
+    low = gh_lower_bound(x, y)
+    tally["lower tight"] += low == value
+    if low > value:
+        return f"profile bound {low} exceeds d_GH {value}"
+    if x.line_coords is None or y.line_coords is None:
+        return None
+    tally["line pairs"] += 1
+    high, corr = staircase_bound(x, y)
+    tally["staircase tight"] += high == value
+    if high < value:
+        return f"staircase bound {high} is below d_GH {value}"
+    if distortion(corr, x, y).value != 2 * high:
+        return f"staircase correspondence does not attain {high}"
+    return None
+
+
+def _lambda_pair(rng: random.Random, cfg: GeneratorConfig) -> dict:
+    x = random_point_set(rng, cfg)
+    lam1, lam2 = random_lambda(rng), random_lambda(rng)
+    return {"x": x, "lam1": lam1, "lam2": lam2, "window": cfg.window}
+
+
+def _draw_continuity(rng, cfg, index):
     """Deformation steps stay within the radius-Lipschitz certificate."""
-    rng = random.Random(cfg.seed)
-    w = cfg.window
-    failures: list[CaseFailure] = []
-    for idx in range(cases):
-        x = random_point_set(rng, cfg)
-        l1, l2 = random_lambda(rng), random_lambda(rng)
-        d, bound = continuity_in_lambda(x, l1, l2, w)
-        if d > bound:
-            failures.append(
-                CaseFailure(
-                    idx,
-                    _instance_json(x=x, lam1=l1, lam2=l2, window=w),
-                    f"step {d} exceeds certificate {bound}",
-                )
-            )
-    return SuiteReport("homotopy-continuity", cfg.seed, cases, tuple(failures))
+    return [(_check_continuity, _lambda_pair(rng, cfg))]
 
 
-def verify_stability(cfg: GeneratorConfig, cases: int = 10_000) -> SuiteReport:
+def _check_continuity(tally, x, lam1, lam2, window):
+    d, bound = continuity_in_lambda(x, lam1, lam2, window)
+    if d > bound:
+        return f"step {d} exceeds certificate {bound}"
+    return None
+
+
+def _draw_stability(rng, cfg, index):
     """Deforming two nearby sets never spreads them further apart."""
-    rng = random.Random(cfg.seed)
-    w = cfg.window
-    failures: list[CaseFailure] = []
-    for idx in range(cases):
-        x = random_point_set(rng, cfg)
-        xn = random_point_set(rng, cfg)
-        lam = random_lambda(rng)
-        d, bound = stability_in_space(x, xn, lam, w)
-        if d > bound:
-            failures.append(
-                CaseFailure(
-                    idx,
-                    _instance_json(x=x, xn=xn, lam=lam, window=w),
-                    f"deformed distance {d} exceeds input distance {bound}",
-                )
-            )
-    return SuiteReport("homotopy-stability", cfg.seed, cases, tuple(failures))
+    x = random_point_set(rng, cfg)
+    xn = random_point_set(rng, cfg)
+    lam = random_lambda(rng)
+    return [(_check_stability, {"x": x, "xn": xn, "lam": lam, "window": cfg.window})]
 
 
-# ---------------------------------------------------------------------------
-# order-lemma and construction suites
+def _check_stability(tally, x, xn, lam, window):
+    d, bound = stability_in_space(x, xn, lam, window)
+    if d > bound:
+        return f"deformed distance {d} exceeds input distance {bound}"
+    return None
 
 
 def _jittered_grid(
@@ -383,7 +398,13 @@ def _jittered_grid(
     return PointSet(tuple(pts))
 
 
-def verify_order_lemmas(cfg: GeneratorConfig, cases: int = 1_000) -> SuiteReport:
+def _swapped(n: int, k: int) -> Correspondence:
+    """The identity on ``n`` points with the images of k and k + 1 exchanged."""
+    swap = {k: k + 1, k + 1: k}
+    return Correspondence.of([(i, swap.get(i, i)) for i in range(n)], n, n)
+
+
+def _draw_order_lemmas(rng, cfg, index):
     """Betweenness preservation and the inverted-gap bound, with gates.
 
     In-hypothesis instances must pass.  Every fourth case also builds an
@@ -391,121 +412,67 @@ def verify_order_lemmas(cfg: GeneratorConfig, cases: int = 1_000) -> SuiteReport
     the betweenness checker must refuse, and every fifth inverted-pair
     instance drops the far witness, which must come back inconclusive.
     """
-    rng = random.Random(cfg.seed)
-    failures: list[CaseFailure] = []
-    refusals = 0
-    inconclusive = 0
-    for idx in range(cases):
-        n = rng.randint(3, 6)
-        spacing = Fraction(rng.randint(2, 4), 2)
-        x = _jittered_grid(rng, n, spacing, rng.randint(1, 4))
-        # independent per-point jitter: nontrivial distortion, but far below
-        # half the separation, so the hypothesis holds by construction
-        y = PointSet(
-            tuple(
-                p + Fraction(rng.randint(-2, 2), 64) * spacing for p in x.points
-            )
-        )
-        sx = FiniteMetricSpace.from_line(x)
-        sy = FiniteMetricSpace.from_line(y)
-        r = Correspondence.nearest(x, y)
-        try:
-            rep = check_order_preservation(r, sx, sy)
-            if not rep.passed:
-                failures.append(
-                    CaseFailure(
-                        idx,
-                        _instance_json(x=x, y=y, r=r),
-                        f"betweenness violated at triple {rep.violation}",
-                    )
-                )
-        except PreconditionError:
-            failures.append(
-                CaseFailure(
-                    idx,
-                    _instance_json(x=x, y=y, r=r),
-                    "in-hypothesis instance was refused",
-                )
-            )
-
-        if idx % 4 == 0:
-            # swap the images of the first two points: any third point sees a
-            # distortion of the full first gap, so 2c >= 2t > t and the
-            # hypothesis fails by construction
-            swapped = Correspondence.of(
-                [(0, 1), (1, 0)] + [(i, i) for i in range(2, n)], n, n
-            )
-            try:
-                check_order_preservation(swapped, sx, sx)
-                failures.append(
-                    CaseFailure(
-                        idx,
-                        _instance_json(x=x, r=swapped),
-                        "out-of-hypothesis instance was not refused",
-                    )
-                )
-            except PreconditionError:
-                refusals += 1
-
-        # inverted-gap bound: identity with one adjacent swap, plus a far
-        # witness point (or deliberately without one, expecting inconclusive)
-        base = [k * spacing for k in range(n)]
-        with_witness = idx % 5 != 0
-        if with_witness:
-            base.append(base[-1] + 101 * spacing)
-        far = PointSet(tuple(base))
-        k = rng.randint(0, n - 2)
-        pairs = [(i, i) for i in range(len(far))]
-        pairs[k] = (k, k + 1)
-        pairs[k + 1] = (k + 1, k)
-        rr = Correspondence.of(pairs, len(far), len(far))
-        sfar = FiniteMetricSpace.from_line(far)
-        rep2 = order_violation_bound(rr, sfar, sfar)
-        if with_witness and rep2.status != "pass":
-            failures.append(
-                CaseFailure(
-                    idx,
-                    _instance_json(x=far, r=rr),
-                    f"inverted-gap check came back {rep2.status}",
-                )
-            )
-        elif not with_witness:
-            if rep2.status != "inconclusive":
-                failures.append(
-                    CaseFailure(
-                        idx,
-                        _instance_json(x=far, r=rr),
-                        f"expected inconclusive without witness, got {rep2.status}",
-                    )
-                )
-            else:
-                inconclusive += 1
-    return SuiteReport(
-        "order-lemmas",
-        cfg.seed,
-        cases,
-        tuple(failures),
-        records=(
-            f"gate refusals: {refusals}",
-            f"inconclusive without witness: {inconclusive}",
-        ),
+    n = rng.randint(3, 6)
+    spacing = Fraction(rng.randint(2, 4), 2)
+    x = _jittered_grid(rng, n, spacing, rng.randint(1, 4))
+    # independent per-point jitter: nontrivial distortion, but far below
+    # half the separation, so the hypothesis holds by construction
+    y = PointSet(
+        tuple(p + Fraction(rng.randint(-2, 2), 64) * spacing for p in x.points)
     )
+    items = [(_check_betweenness, {"x": x, "y": y})]
+    if index % 4 == 0:
+        items.append((_check_refusal, {"x": x}))
+    grid = PointSet(tuple(k * spacing for k in range(n)))
+    k = rng.randint(0, n - 2)
+    witness = index % 5 != 0
+    inverted = {"x": grid, "spacing": spacing, "k": k, "witness": witness}
+    return items + [(_check_inverted_gap, inverted)]
 
 
-def _segment_instance(rng: random.Random) -> tuple[PointSet, Fraction, Fraction]:
-    n = rng.randint(2, 3)
-    spacing = Fraction(rng.randint(2, 3), 4)
-    x = _jittered_grid(rng, n, spacing, rng.randint(1, 3))
-    r1 = random_scalar(rng, Fraction(0), Fraction(3, 4), 8)
-    r2 = random_scalar(rng, Fraction(0), Fraction(3, 4), 8)
-    if rng.random() < 0.2:
-        r1 = Fraction(0)
-    return x, r1, r2
+def _check_betweenness(tally, x, y):
+    sx, sy = FiniteMetricSpace.from_line(x), FiniteMetricSpace.from_line(y)
+    try:
+        rep = check_order_preservation(Correspondence.nearest(x, y), sx, sy)
+    except PreconditionError:
+        return "in-hypothesis instance was refused"
+    if not rep.passed:
+        return f"betweenness violated at triple {rep.violation}"
+    return None
 
 
-def _perturbed_instance(
-    rng: random.Random, lam: Fraction
-) -> tuple[PointSet, PointSet, Correspondence]:
+def _check_refusal(tally, x):
+    # swap the images of the first two points: any third point sees a
+    # distortion of the full first gap, so 2c >= 2t > t and the hypothesis
+    # fails by construction (without a third point the swap is an isometry)
+    if len(x) < 3:
+        return None
+    sx = FiniteMetricSpace.from_line(x)
+    try:
+        check_order_preservation(_swapped(len(x), 0), sx, sx)
+    except PreconditionError:
+        tally["refusals"] += 1
+        return None
+    return "out-of-hypothesis instance was not refused"
+
+
+def _check_inverted_gap(tally, x, spacing, k, witness):
+    # identity with one adjacent swap inside the grid x, plus a far witness
+    # point (or deliberately without one, expecting inconclusive)
+    if k + 1 >= len(x):
+        return None
+    pts = x.points + ((x.points[-1] + 101 * spacing,) if witness else ())
+    far = FiniteMetricSpace.from_line(PointSet(pts))
+    status = order_violation_bound(_swapped(len(pts), k), far, far).status
+    if witness and status != "pass":
+        return f"inverted-gap check came back {status}"
+    if not witness and status != "inconclusive":
+        return f"expected inconclusive without witness, got {status}"
+    tally["inconclusive"] += not witness
+    return None
+
+
+def _perturbed_instance(rng: random.Random, lam: Fraction) -> dict:
     """Grid plus a tiny perturbation: the nearest-point correspondence is
     order-preserving and distorts by at most lam/32."""
     n = rng.randint(3, 4)
@@ -515,12 +482,10 @@ def _perturbed_instance(
     xn = PointSet(
         tuple(p + Fraction(rng.randint(-16, 16), 16) * delta for p in x.points)
     )
-    return x, xn, Correspondence.nearest(x, xn)
+    return {"x": x, "xn": xn}
 
 
-def _swap_instance(
-    rng: random.Random, lam: Fraction
-) -> tuple[PointSet, PointSet, Correspondence]:
+def _swap_instance(rng: random.Random, lam: Fraction) -> dict:
     """Grid with one very close extra point whose image is swapped with its
     neighbour: exercises the inverted-order case of the extension while
     keeping dis R < lam/8 and the inverted gap at most twice dis R."""
@@ -530,16 +495,10 @@ def _swap_instance(
     pts = [k * spacing for k in range(n)]
     k = rng.randint(0, n - 2)
     pts.insert(k + 1, pts[k] + tiny)
-    x = PointSet(tuple(pts))
-    pairs = [(i, i) for i in range(len(x))]
-    pairs[k] = (k, k + 1)
-    pairs[k + 1] = (k + 1, k)
-    return x, x, Correspondence.of(pairs, len(x), len(x))
+    return {"x": PointSet(tuple(pts)), "k": k}
 
 
-def verify_construction_bounds(
-    cfg: GeneratorConfig, cases: int = 500
-) -> SuiteReport:
+def _draw_construction_bounds(rng, cfg, index):
     """Certified distortion bounds for both constructive correspondences.
 
     Each case checks value <= bound + slack at a step and at half that step,
@@ -548,104 +507,136 @@ def verify_construction_bounds(
     generated inside the ambient hypotheses: dis R < lam/8 and every
     order-inverted pair of R spanning at most twice dis R.
     """
-    rng = random.Random(cfg.seed)
-    failures: list[CaseFailure] = []
-    ratio_sum = Fraction(0)
-    ratio_count = 0
-    for idx in range(cases):
-        x, r1, r2 = _segment_instance(rng)
-        step = Fraction(1, rng.choice((3, 4, 5)))
-        coarse = segment_correspondence(x, r1, r2, step)
-        fine = segment_correspondence(x, r1, r2, step / 2)
-        for seg, h in ((coarse, step), (fine, step / 2)):
-            if seg.certificate.value > seg.continuum_bound + seg.slack:
-                failures.append(
-                    CaseFailure(
-                        idx,
-                        _instance_json(x=x, r1=r1, r2=r2, step=h),
-                        f"segment bound broke: {seg.certificate.value} > "
-                        f"{seg.continuum_bound} + {seg.slack}",
-                    )
-                )
-        ratio_sum += fine.slack / coarse.slack
-        ratio_count += 1
-
-        lam = Fraction(rng.randint(2, 4), rng.randint(6, 8))
-        if rng.random() < 0.3:
-            px, pxn, pr = _swap_instance(rng, lam)
-        else:
-            px, pxn, pr = _perturbed_instance(rng, lam)
-        estep = Fraction(1, rng.choice((3, 4)))
-        coarse_ext = extend_correspondence(pr, px, pxn, lam, estep)
-        fine_ext = extend_correspondence(pr, px, pxn, lam, estep / 2)
-        for ext, h in ((coarse_ext, estep), (fine_ext, estep / 2)):
-            if ext.certificate.value > ext.bound + ext.slack:
-                failures.append(
-                    CaseFailure(
-                        idx,
-                        _instance_json(x=px, xn=pxn, r=pr, lam=lam, step=h),
-                        f"extension bound broke: {ext.certificate.value} > "
-                        f"{ext.bound} + {ext.slack}",
-                    )
-                )
-        ratio_sum += fine_ext.slack / coarse_ext.slack
-        ratio_count += 1
-    avg = ratio_sum / ratio_count if ratio_count else Fraction(0)
-    return SuiteReport(
-        "construction-bounds",
-        cfg.seed,
-        cases,
-        tuple(failures),
-        records=(f"average slack halving ratio: {scalar_str(avg)}",),
-    )
+    n = rng.randint(2, 3)
+    spacing = Fraction(rng.randint(2, 3), 4)
+    x = _jittered_grid(rng, n, spacing, rng.randint(1, 3))
+    r1 = random_scalar(rng, Fraction(0), Fraction(3, 4), 8)
+    r2 = random_scalar(rng, Fraction(0), Fraction(3, 4), 8)
+    if rng.random() < 0.2:
+        r1 = Fraction(0)
+    step = Fraction(1, rng.choice((3, 4, 5)))
+    segment = {"x": x, "r1": r1, "r2": r2, "step": step}
+    lam = Fraction(rng.randint(2, 4), rng.randint(6, 8))
+    if rng.random() < 0.3:
+        extension = _swap_instance(rng, lam)
+    else:
+        extension = _perturbed_instance(rng, lam)
+    extension.update(lam=lam, step=Fraction(1, rng.choice((3, 4))))
+    return [(_check_segment, segment), (_check_extension, extension)]
 
 
-def lambda_bound_counterexample_search(
-    cfg: GeneratorConfig, cases: int = 10_000
-) -> SuiteReport:
+def _check_segment(tally, x, r1, r2, step):
+    coarse = segment_correspondence(x, r1, r2, step)
+    fine = segment_correspondence(x, r1, r2, step / 2)
+    tally["slack ratio"] += fine.slack / coarse.slack
+    for seg in (coarse, fine):
+        if seg.certificate.value > seg.continuum_bound + seg.slack:
+            return (
+                f"segment bound broke: {seg.certificate.value} > "
+                f"{seg.continuum_bound} + {seg.slack}"
+            )
+    return None
+
+
+def _check_extension(tally, x, lam, step, xn=None, k=None):
+    # the nearest-point correspondence of x and xn, or the identity on x
+    # with the images of k and k + 1 swapped
+    if k is None:
+        r = Correspondence.nearest(x, xn)
+    else:
+        xn, r = x, _swapped(len(x), k)
+    coarse = extend_correspondence(r, x, xn, lam, step)
+    fine = extend_correspondence(r, x, xn, lam, step / 2)
+    tally["slack ratio"] += fine.slack / coarse.slack
+    for ext in (coarse, fine):
+        if ext.certificate.value > ext.bound + ext.slack:
+            return (
+                f"extension bound broke: {ext.certificate.value} > "
+                f"{ext.bound} + {ext.slack}"
+            )
+    return None
+
+
+def _draw_lambda_hits(rng, cfg, index):
     """Hunt for deformation steps larger than |lam1 - lam2|.
 
     Hits are recorded as evidence (the |f(lam1) - f(lam2)| certificate is
     the provable bound; the bare |lam1 - lam2| claim is stronger), never as
     failures.  A certificate violation would be a failure, and never occurs.
     """
-    rng = random.Random(cfg.seed)
-    w = cfg.window
-    failures: list[CaseFailure] = []
-    hits = 0
-    examples: list[str] = []
-    for idx in range(cases):
-        x = random_point_set(rng, cfg)
-        l1, l2 = random_lambda(rng), random_lambda(rng)
-        d, cert = continuity_in_lambda(x, l1, l2, w)
-        if d > cert:
-            failures.append(
-                CaseFailure(
-                    idx,
-                    _instance_json(x=x, lam1=l1, lam2=l2, window=w),
-                    f"certificate {cert} violated by step {d}",
-                )
+    return [(_check_lambda_hits, _lambda_pair(rng, cfg))]
+
+
+def _check_lambda_hits(tally, x, lam1, lam2, window):
+    d, cert = continuity_in_lambda(x, lam1, lam2, window)
+    naive = abs(lam1 - lam2)
+    if d > naive:
+        tally["hits"] += 1
+        if len(tally.examples) < 5:
+            tally.examples.append(
+                f"hit[{tally.case}]: step {scalar_str(d)} > |lam1-lam2| = "
+                f"{scalar_str(naive)} "
+                f"(lam1={scalar_str(lam1)}, lam2={scalar_str(lam2)})"
             )
-        if d > abs(l1 - l2):
-            hits += 1
-            if len(examples) < 5:
-                examples.append(
-                    f"hit[{idx}]: step {scalar_str(d)} > |lam1-lam2| = "
-                    f"{scalar_str(abs(l1 - l2))} "
-                    f"(lam1={scalar_str(l1)}, lam2={scalar_str(l2)})"
-                )
-    records = [
-        f"naive-bound hits: {hits}/{cases}",
-        f"certificate violations: {len(failures)}",
-    ]
-    records.extend(examples)
-    return SuiteReport(
-        "lambda-bound-search",
-        cfg.seed,
-        cases,
-        tuple(failures),
-        records=tuple(records),
-    )
+    if d > cert:
+        tally["violations"] += 1
+        return f"certificate {cert} violated by step {d}"
+    return None
+
+
+# cli name: (verify function, default cases, theorem-backed); the command
+# line, the benchmark and the public verify_* names all read this table
+SUITES = {
+    "ultrametric-h": _suite(
+        "ultrametric-hausdorff", 10_000, True, _draw_ultrametric_h
+    ),
+    "ultrametric-gh": _suite(
+        "ultrametric-gh", 1_000, True, _draw_ultrametric_gh,
+        lambda t, cases: (f"solver-exact cases: {t['solver exact']}/{cases}",),
+    ),
+    "bounded-cloud": _suite("bounded-cloud", 1_000, True, _draw_bounded_cloud),
+    "continuity": _suite("homotopy-continuity", 10_000, True, _draw_continuity),
+    "stability": _suite("homotopy-stability", 10_000, True, _draw_stability),
+    "order-lemmas": _suite(
+        "order-lemmas", 1_000, True, _draw_order_lemmas,
+        lambda t, cases: (
+            f"gate refusals: {t['refusals']}",
+            f"inconclusive without witness: {t['inconclusive']}",
+        ),
+    ),
+    "construction-bounds": _suite(
+        "construction-bounds", 500, True, _draw_construction_bounds,
+        # two halvings per case
+        lambda t, cases: (
+            "average slack halving ratio: "
+            + scalar_str(t["slack ratio"] / (2 * cases) if cases else Fraction(0)),
+        ),
+    ),
+    "lambda-hits": _suite(
+        "lambda-bound-search", 10_000, False, _draw_lambda_hits,
+        lambda t, cases: (
+            f"naive-bound hits: {t['hits']}/{cases}",
+            f"certificate violations: {t['violations']}",
+            *t.examples,
+        ),
+    ),
+    "gh-bounds": _suite(
+        "gh-bounds", 1_000, True, _draw_gh_bounds,
+        lambda t, cases: (
+            f"lower bound tight: {t['lower tight']}/{cases}",
+            f"staircase tight: {t['staircase tight']}/{t['line pairs']} line pairs",
+        ),
+    ),
+}
+verify_ultrametric_hausdorff = SUITES["ultrametric-h"][0]
+verify_ultrametric_gh = SUITES["ultrametric-gh"][0]
+verify_bounded_cloud = SUITES["bounded-cloud"][0]
+verify_continuity = SUITES["continuity"][0]
+verify_stability = SUITES["stability"][0]
+verify_order_lemmas = SUITES["order-lemmas"][0]
+verify_construction_bounds = SUITES["construction-bounds"][0]
+lambda_bound_counterexample_search = SUITES["lambda-hits"][0]
+verify_gh_bounds = SUITES["gh-bounds"][0]
 
 
 # ---------------------------------------------------------------------------

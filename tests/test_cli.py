@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import json
 from fractions import Fraction as F
@@ -125,6 +126,31 @@ def test_verify_subcommand_green_suite(capsys):
     out = capsys.readouterr().out
     assert "suite: bounded-cloud" in out
     assert "failures: 0" in out
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_verify_rejects_non_positive_cases(cases, capsys):
+    assert main(["verify", "bounded-cloud", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cases: ")
+
+
+def test_suite_table_is_shared_with_the_command_line():
+    from netline import cli, harness
+
+    assert cli.SUITES is harness.SUITES
+    for fn, cases, theorem_backed in cli.SUITES.values():
+        assert callable(fn)
+        assert type(cases) is int and cases > 0
+        assert type(theorem_backed) is bool
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert set(suite.choices) - {"all"} == set(cli.SUITES)
+    cfg = harness.GeneratorConfig()
+    reports = [fn(cfg, cases=1).suite for fn, _, _ in cli.SUITES.values()]
+    assert len(set(reports)) == len(reports)
 
 
 def test_experiment_subcommands(capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -23,7 +26,10 @@ from netline import (
     verify_ultrametric_hausdorff,
 )
 from netline import harness
-from netline.harness import shrink_point_pair
+from netline.correspondence import FiniteMetricSpace
+from netline.errors import InvariantError
+from netline.formats import parse_metric_space, parse_scalar, parse_space
+from netline.harness import Tally, shrink_instance
 
 
 def test_reports_are_byte_deterministic():
@@ -73,13 +79,158 @@ def test_gh_bounds_suite_passes_and_serialises_failures(monkeypatch):
 def test_shrinking_reaches_a_minimal_culprit():
     a = PointSet.of([0, 3, 7, 9])
     b = PointSet.of([1, 2, 8])
+    m = FiniteMetricSpace.from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
 
-    def fails(pa: PointSet, pb: PointSet) -> bool:
-        return F(7) in pa.points
+    def fails(tally, a, b, m, lam):
+        return f"7 is in a, {len(b)} in b" if F(7) in a.points else None
 
-    sa, sb = shrink_point_pair(a, b, fails)
-    assert sa.points == (F(7),)
-    assert len(sb) == 1
+    inst, detail = shrink_instance(fails, {"a": a, "b": b, "m": m, "lam": F(1, 2)}, "")
+    assert inst["a"].points == (F(7),)
+    assert len(inst["b"]) == 1
+    assert inst["m"].n == 1 and inst["lam"] == F(1, 2)
+    assert detail == "7 is in a, 1 in b"
+
+
+def test_shrinker_skips_rejected_candidates_and_keeps_invariant_errors():
+    a = PointSet.of([0, 1, 2])
+
+    def rejects(tally, a):
+        if len(a) < 3:
+            raise ValueError("needs three points")
+        return "boom"
+
+    assert shrink_instance(rejects, {"a": a}, "boom") == ({"a": a}, "boom")
+
+    def breaks(tally, a):
+        if len(a) < 3:
+            raise InvariantError("lower bound exceeds upper bound")
+        return "boom"
+
+    with pytest.raises(InvariantError):
+        shrink_instance(breaks, {"a": a}, "boom")
+
+
+def _scaled(fn, first=1, second=1):
+    """``fn`` with its two results multiplied by ``first`` and ``second``."""
+    def faulty(*args):
+        d, bound = fn(*args)
+        return d * first, bound * second
+    return faulty
+
+
+def _shifted_staircase(fn):
+    def faulty(x, y):
+        high, corr = fn(x, y)
+        return high + 1, corr
+    return faulty
+
+
+def _loose_extension(fn):
+    def faulty(*args):
+        return fn(*args)._replace(bound=F(-1))
+    return faulty
+
+
+# suite: (harness dependency, fault, the suite's checks)
+FAULTS = {
+    "ultrametric-h": ("covering_radius", lambda fn: lambda a, w: fn(a, w) / 2,
+                      [harness._check_ultrametric_h]),
+    "ultrametric-gh": ("hausdorff", lambda fn: lambda a, b: F(0),
+                       [harness._check_ultrametric_gh]),
+    "bounded-cloud": ("diam", lambda fn: lambda x: fn(x) / 4,
+                      [harness._check_bounded_cloud]),
+    "gh-bounds": ("staircase_bound", _shifted_staircase, [harness._check_gh_bounds]),
+    "continuity": ("continuity_in_lambda", lambda fn: _scaled(fn, second=F(1, 2)),
+                   [harness._check_continuity]),
+    "stability": ("stability_in_space", lambda fn: _scaled(fn, first=2),
+                  [harness._check_stability]),
+    "order-lemmas": ("order_violation_bound",
+                     lambda fn: lambda r, x, y: replace(fn(r, x, y), status="fail"),
+                     [harness._check_betweenness, harness._check_refusal,
+                      harness._check_inverted_gap]),
+    "construction-bounds": ("extend_correspondence", _loose_extension,
+                            [harness._check_segment, harness._check_extension]),
+    "lambda-hits": ("continuity_in_lambda",
+                    lambda fn: lambda x, l1, l2, w: (F(2), F(1)),
+                    [harness._check_lambda_hits]),
+}
+
+
+def _parse_instance(doc: dict, metric: bool) -> dict:
+    parsed = {}
+    for key, val in doc.items():
+        if isinstance(val, dict) and val["kind"] != "window" and metric:
+            parsed[key] = parse_metric_space(val, key)
+        elif isinstance(val, dict):
+            parsed[key] = parse_space(val, key)
+        elif isinstance(val, str):
+            parsed[key] = parse_scalar(val, key)
+        else:
+            parsed[key] = val
+    return parsed
+
+
+def _check_for(checks, keys):
+    """The one check whose parameters an instance with these fields fits."""
+    def fits(check):
+        params = list(inspect.signature(check).parameters.values())[1:]
+        required = {p.name for p in params if p.default is inspect.Parameter.empty}
+        return required <= keys <= {p.name for p in params}
+
+    (check,) = [c for c in checks if fits(c)]
+    return check
+
+
+def _one_point_short(value):
+    """Every copy of a point set or metric space with one point removed."""
+    if isinstance(value, PointSet) and len(value) > 1:
+        return [PointSet(value.points[:k] + value.points[k + 1:])
+                for k in range(len(value))]
+    if isinstance(value, FiniteMetricSpace) and value.line_coords is not None:
+        return [FiniteMetricSpace.from_line(p)
+                for p in _one_point_short(value.line_coords)]
+    if isinstance(value, FiniteMetricSpace) and value.n > 1:
+        keep = [[j for j in range(value.n) if j != k] for k in range(value.n)]
+        return [FiniteMetricSpace.from_matrix(
+                    [[value.dist[i][j] for j in ks] for i in ks]) for ks in keep]
+    return []
+
+
+def _fails(check, instance) -> bool:
+    try:
+        return check(Tally(), **instance) is not None
+    except InvariantError:
+        raise
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("name", list(FAULTS))
+def test_injected_faults_give_shrunk_replayable_failures(name, monkeypatch):
+    attr, make_fault, checks = FAULTS[name]
+    monkeypatch.setattr(harness, attr, make_fault(getattr(harness, attr)))
+    verify, _, _ = harness.SUITES[name]
+    cases = 12
+    rep = verify(GeneratorConfig(seed=1), cases=cases)
+    assert rep.failures
+    metric = name in ("bounded-cloud", "gh-bounds")
+    for failure in rep.failures:
+        doc = json.loads(failure.instance)
+        instance = _parse_instance(doc, metric)
+        check = _check_for(checks, set(doc))
+        assert check(Tally(), **instance) == failure.detail
+        for key, value in instance.items():
+            for smaller in _one_point_short(value):
+                assert not _fails(check, {**instance, key: smaller}), (key, failure)
+    # shrink re-runs count into throwaway tallies, never into the records
+    for record in rep.records:
+        counted = re.match(r"[a-z -]+: (\d+)", record)
+        if counted:
+            assert int(counted.group(1)) <= cases, record
+    if name == "construction-bounds":
+        assert "average slack halving ratio: 1/2" in rep.records
+    if name == "lambda-hits":
+        assert f"certificate violations: {len(rep.failures)}" in rep.records
 
 
 def test_lambda_search_records_hits_not_failures():
