@@ -44,6 +44,14 @@ INPUTS = {
     "c2.json": {"kind": "points", "coords": [
         "0", "1", "6", "14", "17", "20", "24", "27", "28", "29", "30", "32",
         "35", "37"]},
+    "bx.json": {"kind": "matrix", "dist": [
+        ["0", "4", "3", "3", "4"], ["4", "0", "2", "7/2", "5/2"],
+        ["3", "2", "0", "2", "5/2"], ["3", "7/2", "2", "0", "2"],
+        ["4", "5/2", "5/2", "2", "0"]]},
+    "by.json": {"kind": "matrix", "dist": [
+        ["0", "3", "7/2", "5/2", "7/2", "4"], ["3", "0", "2", "4", "5/2", "2"],
+        ["7/2", "2", "0", "5/2", "7/2", "3"], ["5/2", "4", "5/2", "0", "5/2", "7/2"],
+        ["7/2", "5/2", "7/2", "5/2", "0", "5/2"], ["4", "2", "3", "7/2", "5/2", "0"]]},
 }
 
 # (case name, argv, certificate file written by the command or None)
@@ -62,6 +70,13 @@ CASES = [
     ("dist-gh-bb-truncated", ["dist-gh", "c1.json", "c2.json", "--method",
                               "branch-bound", "--budget", "5000",
                               "--certificate", "cut.cert.json"], "cut.cert.json"),
+    ("dist-gh-bb-matrix", ["dist-gh", "bx.json", "by.json", "--method",
+                           "branch-bound", "--certificate", "bm.cert.json"],
+     "bm.cert.json"),
+    ("dist-gh-bb-matrix-truncated", ["dist-gh", "bx.json", "by.json", "--method",
+                                     "branch-bound", "--budget", "700",
+                                     "--certificate", "bmt.cert.json"],
+     "bmt.cert.json"),
     ("trace", ["trace", "net.json", "--window", "w10.json",
                "--grid", "0,1/8,1/3,1/2,3/4,1,1"], None),
     ("contract", ["contract", "net.json", "--lam", "1/3", "--window", "w10.json"],
