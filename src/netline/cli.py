@@ -92,7 +92,7 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
         sys.stdout.write("status: bounds-only (budget exhausted)\n")
     sys.stdout.write(f"lower: {scalar_str(result.lower)}\n")
     sys.stdout.write(f"upper: {scalar_str(result.upper)}\n")
-    corr = result.optimal if result.optimal is not None else result.upper_witness
+    corr = result.upper_witness
     if corr is not None:
         pairs = " ".join(f"({i},{j})" for i, j in corr.pairs)
         sys.stdout.write(f"correspondence: {pairs}\n")

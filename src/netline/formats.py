@@ -177,7 +177,7 @@ def gh_certificate_doc(
     An external checker can re-verify it in O(|R|^2) from this document
     alone (see verify_gh_certificate).
     """
-    corr = result.optimal if result.optimal is not None else result.upper_witness
+    corr = result.upper_witness
     doc: dict = {
         "kind": "gh-certificate",
         "status": "exact" if result.exact is not None else "bounds-only",

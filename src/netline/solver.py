@@ -173,20 +173,6 @@ def gh_exact(
     return GHResult(exact, exact, exact, optimal, nodes, optimal)
 
 
-def _monotone_possible(dom_new: int, img_new: int, prior: list[Pair]) -> bool:
-    """Can the selection stay monotone (either direction) with this pair?"""
-    inc = dec = True
-    for dom_old, img_old in prior:
-        s = (dom_new - dom_old) * (img_new - img_old)
-        if s < 0:
-            inc = False
-        elif s > 0:
-            dec = False
-        if not (inc or dec):
-            return False
-    return True
-
-
 def _directed_sorted(a: list[int], b: list[int]) -> int:
     """Largest distance from a value of ``a`` to its nearest value of ``b``;
     both ascending and nonempty, merged with two pointers."""
@@ -353,12 +339,12 @@ def gh_branch_bound(
     candidate pair whose profile cost c(i, j) already reaches the
     incumbent: no completion holding it can improve.
 
-    X points are assigned in decreasing eccentricity, candidate images in
-    increasing partial distortion, ties to the smallest index.  For
-    line-embedded spaces whose separation t exceeds twice the incumbent
-    distortion, assignments that can no longer extend to a monotone
-    selection are pruned: any completion would carry a
-    betweenness-violating selection and hence distortion at least t/2.
+    One recursive search walks a list of steps, each fixing one index of the
+    next pair: first every X row in decreasing eccentricity, then, once
+    every row has an image, one step per still-uncovered Y column.  A step
+    tries its candidate pairs in increasing partial distortion, ties to the
+    smallest index.  Each call is one node, the switch from rows to columns
+    included.
 
     When ``budget`` nodes are exhausted the search degrades to bounds only:
     the incumbent above and the diameter or profile bound below.
@@ -370,28 +356,18 @@ def gh_branch_bound(
 
     best_val, best_pairs = _seed_incumbent(x, y, dx, dy, max(diam_x, diam_y))
 
-    xs = ys = sep_x = sep_y = None
-    if x.line_coords is not None and y.line_coords is not None:
-        xs = int_coords(x.line_coords, den)
-        ys = int_coords(y.line_coords, den)
-        if n >= 2:
-            sep_x = min(b - a for a, b in zip(xs, xs[1:]))
-        if m >= 2:
-            sep_y = min(b - a for a, b in zip(ys, ys[1:]))
-
     # cheapest first: each bound is computed only while the gap is open
     costs: list[list[int]] = []
     if best_val > lower_int:
         costs = _profile_costs(dx, dy)
         lower_int = max(lower_int, _profile_bound(costs))
+    xs, ys = x.line_coords, y.line_coords
     if best_val > lower_int and xs is not None and ys is not None:
-        found = _best_staircase(xs, ys, best_val)
+        found = _best_staircase(int_coords(xs, den), int_coords(ys, den), best_val)
         if found is not None:
             stair_val, _ = int_distortion(found[1], dx, dy)
             if stair_val < best_val:
                 best_val, best_pairs = stair_val, found[1]
-
-    order1 = sorted(range(n), key=lambda i: (-max(dx[i]), i))
 
     asg: list[Pair] = []
     nodes = 0
@@ -409,94 +385,50 @@ def gh_branch_bound(
                 nd = v
         return nd
 
-    def complete(cur: int) -> None:
-        nonlocal best_val, best_pairs
-        if cur < best_val:
-            best_val = cur
-            best_pairs = list(asg)
-
-    def stage2(pos: int, uncovered: list[int], cur: int) -> None:
-        nonlocal nodes, truncated
-        if truncated:
-            return
+    def search(k: int, cur: int) -> None:
+        nonlocal nodes, truncated, best_val, best_pairs
         nodes += 1
         if budget is not None and nodes > budget:
             truncated = True
             return
         if best_val == lower_int or cur >= best_val:
             return
-        if pos == len(uncovered):
-            complete(cur)
+        if k == len(steps):
+            best_val = cur
+            best_pairs = list(asg)
             return
-        j = uncovered[pos]
+        step = steps[k]
+        if step is None:
+            covered = {j for _, j in asg}
+            steps[k + 1:] = [cols[j] for j in range(m) if j not in covered]
+            search(k + 1, cur)
+            return
         cands = sorted(
-            (delta_with(i, j, cur), i) for i in range(n) if costs[i][j] < best_val
+            (delta_with(i, j, cur), i, j) for i, j, c in step if c < best_val
         )
-        prior = None
-        for nd, i in cands:
+        for nd, i, j in cands:
             if nd >= best_val:
                 break
             if costs[i][j] >= best_val:
                 continue
-            if sep_y is not None and sep_y > 2 * best_val:
-                if prior is None:
-                    prior = [(ys[j2], xs[i2]) for i2, j2 in asg[n:]]
-                if not _monotone_possible(ys[j], xs[i], prior):
-                    continue
             asg.append((i, j))
-            stage2(pos + 1, uncovered, nd)
-            asg.pop()
-            if truncated:
-                return
-
-    def stage1(slot: int, cur: int) -> None:
-        nonlocal nodes, truncated
-        if truncated:
-            return
-        nodes += 1
-        if budget is not None and nodes > budget:
-            truncated = True
-            return
-        if best_val == lower_int or cur >= best_val:
-            return
-        if slot == n:
-            covered = {j for _, j in asg}
-            stage2(0, [j for j in range(m) if j not in covered], cur)
-            return
-        i = order1[slot]
-        row_c = costs[i]
-        cands = sorted(
-            (delta_with(i, j, cur), j) for j in range(m) if row_c[j] < best_val
-        )
-        prior = None
-        for nd, j in cands:
-            if nd >= best_val:
-                break
-            if row_c[j] >= best_val:
-                continue
-            if sep_x is not None and sep_x > 2 * best_val:
-                if prior is None:
-                    prior = [(xs[i2], ys[j2]) for i2, j2 in asg]
-                if not _monotone_possible(xs[i], ys[j], prior):
-                    continue
-            asg.append((i, j))
-            stage1(slot + 1, nd)
+            search(k + 1, nd)
             asg.pop()
             if truncated:
                 return
 
     if best_val > lower_int:
-        stage1(0, 0)
+        # a step lists the cells (i, j, c(i, j)) of one X row or, after the
+        # switch marked None, of one uncovered Y column
+        cells = [[(i, j, c) for j, c in enumerate(row)] for i, row in enumerate(costs)]
+        order = sorted(range(n), key=lambda i: (-max(dx[i]), i))
+        steps = [cells[i] for i in order] + [None]
+        cols = list(zip(*cells))
+        search(0, 0)
 
     witness = Correspondence.of(best_pairs, n, m)
+    upper = Fraction(best_val, 2 * den)
     if truncated:
-        return GHResult(
-            Fraction(lower_int, 2 * den),
-            Fraction(best_val, 2 * den),
-            None,
-            None,
-            nodes,
-            witness,
-        )
-    exact = Fraction(best_val, 2 * den)
-    return GHResult(exact, exact, exact, witness, nodes, witness)
+        lower = Fraction(lower_int, 2 * den)
+        return GHResult(lower, upper, None, None, nodes, witness)
+    return GHResult(upper, upper, upper, witness, nodes, witness)

@@ -184,7 +184,7 @@ def test_line_identity_consistency():
 
 
 def test_monotone_reduction_safe_on_separated_grids():
-    # order pruning must never change the exact value
+    # branch-and-bound must match the exhaustive value on well-separated grids
     rng = random.Random(28)
     for _ in range(30):
         n = rng.randint(2, 4)
