@@ -68,9 +68,6 @@ class PointSet:
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.points)
 
-    def __contains__(self, value: object) -> bool:
-        return value in self.points
-
     @property
     def first(self) -> Fraction:
         return self.points[0]
@@ -129,25 +126,10 @@ class IntervalUnion:
     @classmethod
     def merge(cls, spans: Iterable[tuple[ScalarLike, ScalarLike]]) -> "IntervalUnion":
         """Canonicalize: sort, then fuse overlapping or touching intervals."""
-        items = sorted((as_scalar(a), as_scalar(b)) for a, b in spans)
-        if not items:
-            raise ValueError("an interval union needs at least one interval")
-        merged: list[tuple[Fraction, Fraction]] = []
-        for a, b in items:
-            if a > b:
-                raise ValueError(f"backwards interval [{a}, {b}]")
-            if merged and a <= merged[-1][1]:
-                lo, hi = merged[-1]
-                merged[-1] = (lo, max(hi, b))
-            else:
-                merged.append((a, b))
-        return cls(tuple(merged))
+        return fuse_sorted(sorted((as_scalar(a), as_scalar(b)) for a, b in spans))
 
     def __len__(self) -> int:
         return len(self.intervals)
-
-    def __contains__(self, x: object) -> bool:
-        return any(a <= x <= b for a, b in self.intervals)
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         return all(
@@ -155,16 +137,19 @@ class IntervalUnion:
             for a, b in self.intervals
         )
 
-    def clip(self, lo: Fraction, hi: Fraction) -> "IntervalUnion":
-        """Intersection with [lo, hi]; empty result is an error."""
-        kept = [
-            (max(a, lo), min(b, hi))
-            for a, b in self.intervals
-            if max(a, lo) <= min(b, hi)
-        ]
-        if not kept:
-            raise ValueError("clip leaves nothing inside the window")
-        return IntervalUnion(tuple(kept))
+
+def fuse_sorted(spans: Iterable[tuple[Fraction, Fraction]]) -> IntervalUnion:
+    """Fuse spans sorted by left end in one pass; overlapping or touching join."""
+    fused: list[tuple[Fraction, Fraction]] = []
+    for a, b in spans:
+        if a > b:
+            raise ValueError(f"backwards interval [{a}, {b}]")
+        if fused and a <= fused[-1][1]:
+            lo, hi = fused[-1]
+            fused[-1] = (lo, max(hi, b))
+        else:
+            fused.append((a, b))
+    return IntervalUnion(tuple(fused))
 
 
 @dataclass(frozen=True)
@@ -261,7 +246,7 @@ def thicken(s: SetOnLine, r: ScalarLike) -> IntervalUnion:
     radius = as_scalar(r)
     if radius < 0:
         raise ValueError("thickening radius must be nonnegative")
-    return IntervalUnion.merge((a - radius, b + radius) for a, b in _spans(s))
+    return fuse_sorted((a - radius, b + radius) for a, b in _spans(s))
 
 
 def covering_radius(a: PointSet, w: Window) -> Fraction:

@@ -49,7 +49,6 @@ class GHResult:
     lower: Fraction
     upper: Fraction
     exact: Fraction | None
-    optimal: Correspondence | None
     nodes_explored: int
     upper_witness: Correspondence | None = None
 
@@ -59,7 +58,7 @@ class GHResult:
         if self.exact is not None:
             if not (self.lower == self.exact == self.upper):
                 raise InvariantError("exact value must pinch both bounds")
-            if self.optimal is None:
+            if self.upper_witness is None:
                 raise InvariantError("exact value needs its optimal correspondence")
 
 
@@ -170,7 +169,7 @@ def gh_exact(
 
     exact = Fraction(best_val, 2 * den)
     optimal = Correspondence.of([divmod(k, m) for k in best_slots], n, m)
-    return GHResult(exact, exact, exact, optimal, nodes, optimal)
+    return GHResult(exact, exact, exact, nodes, optimal)
 
 
 def _directed_sorted(a: list[int], b: list[int]) -> int:
@@ -430,5 +429,5 @@ def gh_branch_bound(
     upper = Fraction(best_val, 2 * den)
     if truncated:
         lower = Fraction(lower_int, 2 * den)
-        return GHResult(lower, upper, None, None, nodes, witness)
-    return GHResult(upper, upper, upper, witness, nodes, witness)
+        return GHResult(lower, upper, None, nodes, witness)
+    return GHResult(upper, upper, upper, nodes, witness)

@@ -182,7 +182,7 @@ def test_invariant_breach_exits_3(spaces, monkeypatch, capsys):
     from netline.solver import GHResult
 
     def broken(x, y, budget=None):
-        return GHResult(F(1), F(0), None, None, 0)
+        return GHResult(F(1), F(0), None, 0)
 
     monkeypatch.setattr(cli, "gh_branch_bound", broken)
     code = main(["dist-gh", spaces["x"], spaces["y"], "--method", "branch-bound"])

@@ -86,6 +86,8 @@ def test_intervals_parse_canonicalizes():
     assert got == IntervalUnion.merge([(0, F(3, 2)), (2, 3)])
     # printing is canonical, so a second round-trip is the identity
     assert parse_space(format_space(got)) == got
+    contained = {"kind": "intervals", "intervals": [["0", "5"], ["1", "2"]]}
+    assert parse_space(contained).intervals == ((F(0), F(5)),)
 
 
 def test_matrix_space_roundtrip():

@@ -78,6 +78,8 @@ def test_interval_union_invariants():
         IntervalUnion(((F(0), F(1)), (F(1), F(2))))  # touching: not canonical
     merged = IntervalUnion.merge([(0, 1), (1, 2), (5, 5)])
     assert merged.intervals == ((F(0), F(2)), (F(5), F(5)))
+    # a span inside the one before it must not cut that one short
+    assert IntervalUnion.merge([(0, 5), (1, 2)]).intervals == ((F(0), F(5)),)
 
 
 def test_window_invariant():
@@ -113,6 +115,9 @@ def test_thicken_examples():
     assert thicken(PointSet.of([0, 3]), 1).intervals == ((F(-1), F(1)), (F(2), F(4)))
     assert thicken(PointSet.of([0, 2]), 1).intervals == ((F(-1), F(3)),)
     assert thicken(PointSet.of([0]), 0).intervals == ((F(0), F(0)),)
+    # thickened spans of a union that touch fuse, with no re-sort
+    union = IntervalUnion.merge([(0, 1), (3, 4), (7, 8)])
+    assert thicken(union, 1).intervals == ((F(-1), F(5)), (F(6), F(9)))
     with pytest.raises(ValueError):
         thicken(PointSet.of([0]), -1)
 

@@ -20,7 +20,6 @@ from netline import (
     hausdorff,
     sample,
     stability_in_space,
-    thicken,
     trace,
     trace_csv,
 )
@@ -47,6 +46,11 @@ def test_contract_endpoints_and_example():
     assert contract(x, 1, w) == w.span()
     with pytest.raises(ValueError):
         contract(PointSet.of([99]), 0, w)
+    # both window clamps apply, and the clamped spans fuse at each end
+    x = PointSet.of([-1, F(-1, 2), 1, F(7, 2), 4])
+    assert contract(x, F(1, 3), w).intervals == (
+        (F(-1), F(0)), (F(1, 2), F(3, 2)), (F(3), F(4))
+    )
 
 
 def test_contract_monotone_in_lambda():
@@ -84,10 +88,13 @@ def test_covering_radius_saturates_window():
     for _ in range(100):
         x = random_point_set(rng, cfg)
         r = covering_radius(x, w)
-        assert thicken(x, r).clip(w.lo, w.hi) == w.span()
+        # lam = s/(1+s) deforms by radius exactly s
+        assert contract(x, r / (1 + r), w) == w.span()
         if r > 0:
-            assert thicken(x, r - F(1, 1000)).clip(w.lo, w.hi) != w.span()
-        assert thicken(x, r + F(1, 7)).clip(w.lo, w.hi) == w.span()
+            s = r - F(1, 1000)
+            assert contract(x, s / (1 + s), w) != w.span()
+        s = r + F(1, 7)
+        assert contract(x, s / (1 + s), w) == w.span()
 
 
 def test_endpoint_convergence_at_saturation():

@@ -85,7 +85,7 @@ def test_gh_exact_optimal_correspondence_attains_value():
         x = random_metric_space(rng, cfg, max_points=4)
         y = random_metric_space(rng, cfg, max_points=4)
         res = gh_exact(x, y)
-        assert distortion(res.optimal, x, y).value == 2 * res.exact
+        assert distortion(res.upper_witness, x, y).value == 2 * res.exact
 
 
 def test_gh_exact_limit_refusal():
@@ -127,7 +127,7 @@ def test_budget_exhaustion_certified_bounds():
     x = line(0, 3, 4, 6, 7, 8, 15, 16, 24, 25, 28, 30, 31, 36)
     y = line(0, 1, 6, 14, 17, 20, 24, 27, 28, 29, 30, 32, 35, 37)
     res = gh_branch_bound(x, y, budget=5000)
-    assert res.exact is None and res.optimal is None
+    assert res.exact is None
     full = gh_branch_bound(x, y)
     assert abs(diam(x) - diam(y)) / 2 <= res.lower <= full.exact <= res.upper
     # the upper-bound witness is a genuine correspondence attaining it
@@ -207,9 +207,11 @@ def test_determinism_of_node_counts():
 
 def test_ghresult_invariants():
     with pytest.raises(ValueError):
-        GHResult(F(1), F(0), None, None, 0)
+        GHResult(F(1), F(0), None, 0)
     with pytest.raises(ValueError):
-        GHResult(F(0), F(1), F(1), None, 0)
+        GHResult(F(0), F(1), F(1), 0)
+    with pytest.raises(ValueError):
+        GHResult(F(1), F(1), F(1), 0)  # exact without its witness
 
 
 def random_pairs(seed: int, count: int, kind: str):
