@@ -25,6 +25,7 @@ INPUTS = {
                 "intervals": [["-1", "1/2"], ["3", "4"], ["6", "6"]]},
     "win.json": {"kind": "window", "lo": "-2", "hi": "11"},
     "w10.json": {"kind": "window", "lo": "0", "hi": "10"},
+    "wf.json": {"kind": "window", "lo": "-37/6", "hi": "13/4"},
     "net.json": {"kind": "points", "coords": ["1", "5/2", "6"]},
     "mx.json": {"kind": "matrix",
                 "dist": [["0", "2", "3"], ["2", "0", "5/2"], ["3", "5/2", "0"]]},
@@ -81,6 +82,10 @@ CASES = [
                "--grid", "0,1/8,1/3,1/2,3/4,1,1"], None),
     ("contract", ["contract", "net.json", "--lam", "1/3", "--window", "w10.json"],
      None),
+    ("trace-coprime", ["trace", "pp.json", "--window", "wf.json",
+                       "--grid", "0,1/7,2/9,5/11,3/5,1"], None),
+    ("contract-coprime", ["contract", "pp.json", "--lam", "3/5", "--window",
+                          "wf.json"], None),
     ("verify-all", ["verify", "all", "--seed", "3", "--cases", "40"], None),
     ("experiment-geometric", ["experiment", "geometric"], None),
     ("experiment-homothety", ["experiment", "homothety", "--sizes", "2,3,4,5"],
