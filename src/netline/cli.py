@@ -76,7 +76,14 @@ def cmd_dist_h(args: argparse.Namespace) -> int:
     return 0
 
 
+def _nonnegative(value: int | None, flag: str) -> None:
+    if value is not None and value < 0:
+        raise FormatError(flag, "expected a nonnegative number")
+
+
 def cmd_dist_gh(args: argparse.Namespace) -> int:
+    _nonnegative(args.budget, "--budget")
+    _nonnegative(args.limit, "--limit")
     x = _load_metric(args.x)
     y = _load_metric(args.y)
     if args.method == "exact" or (
@@ -146,6 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    _nonnegative(args.budget, "--budget")
     if args.name == "homothety":
         lam = parse_scalar(args.lam, "--lam")
         sizes = [int(s) for s in args.sizes.split(",")]

@@ -4,9 +4,10 @@ Every coordinate, radius and distance is a `fractions.Fraction`; nothing in
 this module ever rounds.  The ambient real line is modelled by a finite
 `Window`, and covering radii are always taken relative to one.
 
-Distances between sets (Hausdorff, point-to-set, covering radius) share one
-integer kernel: scaled by 2·lcm of the endpoint denominators, every endpoint
-and gap midpoint is an integer, and one O(n + m) merge gives a directed sup.
+Distances between sets and the deformation share one integer kernel: scaled
+by 2·lcm of the denominators (of the endpoints, or of a set, its window and
+every radius), every endpoint and gap midpoint is an int, spans clamp and
+fuse as ints, and one O(n + m) merge gives a directed sup.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Fraction
 
@@ -204,15 +205,32 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     merge per direction then finds the sup, and only the result is divided.
     """
     scale, (sa, sb) = _scaled(_spans(a), _spans(b))
-    return Fraction(max(_directed_sup(sa, sb), _directed_sup(sb, sa)), scale)
+    return Fraction(_symmetric_sup(sa, sb), scale)
 
 
-def _scaled(*span_lists: Spans) -> tuple[int, list[list[int]]]:
-    """The scale 2·lcm(denominators), and each span list as flat ints."""
+def _scaled(*span_lists: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The scale 2·lcm(denominators), and each list of value tuples as flat ints."""
     scale = 2 * lcm(*{v.denominator for spans in span_lists
                       for span in spans for v in span})
     return scale, [[v.numerator * (scale // v.denominator)
                     for span in spans for v in span] for spans in span_lists]
+
+
+def _symmetric_sup(a: list[int], b: list[int]) -> int:
+    """Scaled Hausdorff distance of two flat sorted span lists."""
+    return max(_directed_sup(a, b), _directed_sup(b, a))
+
+
+def _clamp_fuse(points: list[int], r: int, lo: int, hi: int) -> list[int]:
+    """Spans [p - r, p + r] of ascending points, clamped to [lo, hi] and fused."""
+    flat: list[int] = []
+    for p in points:
+        a, b = max(p - r, lo), min(p + r, hi)
+        if flat and a <= flat[-1]:
+            flat[-1] = b  # right ends ascend too
+        else:
+            flat += (a, b)
+    return flat
 
 
 def _directed_sup(src: list[int], dst: list[int]) -> int:

@@ -24,7 +24,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
 from typing import Callable, Sequence
 
 from .constructions import extend_correspondence, segment_correspondence
@@ -135,7 +134,9 @@ def random_scalar(
     rng: random.Random, lo: Fraction, hi: Fraction, qmax: int
 ) -> Fraction:
     q = rng.randint(1, qmax)
-    return Fraction(rng.randint(ceil(lo * q), floor(hi * q)), q)
+    # ceil(lo·q) and floor(hi·q), from numerators and denominators
+    first = -(-lo.numerator * q // lo.denominator)
+    return Fraction(rng.randint(first, hi.numerator * q // hi.denominator), q)
 
 
 def random_lambda(rng: random.Random, qmax: int = 16) -> Fraction:

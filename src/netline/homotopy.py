@@ -5,7 +5,9 @@ to the window; lam = 1 is an explicit case mapping to the whole window.
 Clipping keeps the windowed model closed under the deformation and changes
 no Hausdorff quantity measured against the window.  Clamping each point's
 span before one sorted fuse equals clipping after: clamped spans stay
-nonempty, and disjoint ones stay apart.
+nonempty, and disjoint ones stay apart.  All of it runs on the ints of
+`geometry.hausdorff`, under one scale for the set, the window and every
+radius; Fractions are built only for what the functions return.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from .geometry import (
     PointSet,
     ScalarLike,
     Window,
+    _clamp_fuse,
+    _scaled,
+    _symmetric_sup,
     as_scalar,
-    fuse_sorted,
-    hausdorff,
     scalar_str,
 )
 
@@ -37,19 +40,35 @@ def f_map(lam: ScalarLike) -> Fraction | None:
     return v / (1 - v)
 
 
+def _deformations(
+    sets: Sequence[PointSet], lams: Sequence[ScalarLike], w: Window
+) -> tuple[int, list[int], list[Fraction | None], list[list[list[int]]]]:
+    """(scale, window, f(lam) per lam, each set's flat int spans per lam)."""
+    radii = []
+    for lam in lams:
+        radii.append(f_map(lam))
+        if not all(w.contains(s) for s in sets):
+            raise ValueError("point set must lie inside the window")
+    # at lam = 1, a radius of the window's width fuses any set into the window
+    finite = [w.hi - w.lo if f is None else f for f in radii]
+    scale, (window, rs, *pts) = _scaled(
+        ((w.lo, w.hi),), (finite,), *((s.points,) for s in sets))
+    return scale, window, radii, [[_clamp_fuse(p, r, *window) for r in rs] for p in pts]
+
+
+def _union(flat: list[int], scale: int) -> IntervalUnion:
+    return IntervalUnion(tuple((Fraction(a, scale), Fraction(b, scale))
+                               for a, b in zip(flat[::2], flat[1::2])))
+
+
 def contract(x: PointSet, lam: ScalarLike, w: Window) -> IntervalUnion:
     """Deform the point set at parameter lam inside the window.
 
     lam = 0 reproduces the set, lam = 1 yields the full window; in between,
     one fuse of the spans [p - r, p + r] clamped to the window, r = lam/(1-lam).
     """
-    radius = f_map(lam)
-    if not w.contains(x):
-        raise ValueError("point set must lie inside the window")
-    if radius is None:
-        return w.span()
-    lo, hi = w.lo, w.hi
-    return fuse_sorted((max(p - radius, lo), min(p + radius, hi)) for p in x.points)
+    scale, _, _, [[flat]] = _deformations([x], [lam], w)
+    return _union(flat, scale)
 
 
 def continuity_in_lambda(
@@ -64,8 +83,8 @@ def continuity_in_lambda(
     v1, v2 = as_scalar(lam1), as_scalar(lam2)
     if not (0 <= v1 < 1 and 0 <= v2 < 1):
         raise ValueError("both parameters must lie in [0, 1)")
-    d = hausdorff(contract(x, v1, w), contract(x, v2, w))
-    return d, abs(f_map(v1) - f_map(v2))
+    scale, _, (f1, f2), [[a, b]] = _deformations([x], [v1, v2], w)
+    return Fraction(_symmetric_sup(a, b), scale), abs(f1 - f2)
 
 
 def stability_in_space(
@@ -79,8 +98,9 @@ def stability_in_space(
     v = as_scalar(lam)
     if not 0 <= v < 1:
         raise ValueError("lam must lie in [0, 1)")
-    d = hausdorff(contract(x, v, w), contract(xn, v, w))
-    return d, hausdorff(x, xn)
+    # lam = 0 leaves each set as it is, so the second pair is the inputs
+    scale, _, _, flats = _deformations([x, xn], [v, Fraction(0)], w)
+    return tuple(Fraction(_symmetric_sup(a, b), scale) for a, b in zip(*flats))
 
 
 @dataclass(frozen=True)
@@ -113,31 +133,21 @@ def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:
     lams = [as_scalar(g) for g in grid]
     if not lams:
         raise ValueError("grid must be nonempty")
-    for a, b in zip(lams, lams[1:]):
-        if a > b:
-            raise ValueError("grid must be sorted ascending")
+    if any(a > b for a, b in zip(lams, lams[1:])):
+        raise ValueError("grid must be sorted ascending")
+    scale, window, radii, [flats] = _deformations([x], lams, w)
+    steps = list(zip(lams, radii, flats))
     rows: list[TraceRow] = []
-    window_span = w.span()
-    prev_space: IntervalUnion | None = None
-    prev_f: Fraction | None = Fraction(0)
-    for lam in lams:
-        space = contract(x, lam, w)
-        f_lam = f_map(lam)
-        if prev_space is None:
-            step_d: Fraction = Fraction(0)
-            bound: Fraction | None = Fraction(0)
+    # the first row steps from itself: distance 0, bound 0
+    for (lam, f_lam, flat), (_, prev_f, prev) in zip(steps, steps[:1] + steps):
+        if f_lam is None:
+            # ascending grid: prev_f is None only when lam repeats 1
+            bound = Fraction(0) if prev_f is None else None
         else:
-            step_d = hausdorff(space, prev_space)
-            if f_lam is None:
-                # ascending grid: prev_f is None only when lam repeats 1
-                bound = Fraction(0) if prev_f is None else None
-            else:
-                bound = abs(f_lam - prev_f)
-        rows.append(
-            TraceRow(lam, space, hausdorff(space, window_span), step_d, bound)
-        )
-        prev_space = space
-        prev_f = f_lam
+            bound = abs(f_lam - prev_f)
+        rows.append(TraceRow(
+            lam, _union(flat, scale), Fraction(_symmetric_sup(flat, window), scale),
+            Fraction(_symmetric_sup(flat, prev), scale), bound))
     return HomotopyTrace(tuple(rows))
 
 

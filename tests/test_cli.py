@@ -136,6 +136,25 @@ def test_verify_rejects_non_positive_cases(cases, capsys):
     assert captured.err.startswith("error: --cases: ")
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--limit"])
+def test_dist_gh_rejects_negative_budget_and_limit(flag, spaces, capsys):
+    argv = ["dist-gh", spaces["x"], spaces["y"], "--method", "branch-bound"]
+    assert main(argv + [flag, "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: ")
+    assert main(argv + [flag, "0"]) == 0  # zero stays valid
+
+
+def test_experiment_rejects_negative_budget(capsys):
+    argv = ["experiment", "homothety", "--sizes", "2,3"]
+    assert main(argv + ["--budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --budget: ")
+    assert main(argv + ["--budget", "0"]) == 0
+
+
 def test_suite_table_is_shared_with_the_command_line():
     from netline import cli, harness
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -13,6 +15,7 @@ import pytest
 from netline import (
     GeneratorConfig,
     PointSet,
+    Window,
     geometric_progression_experiment,
     homothety_experiment,
     lambda_bound_counterexample_search,
@@ -281,3 +284,26 @@ def test_experiment_render_is_deterministic():
     t2 = geometric_progression_experiment(3, 2).render()
     assert t1 == t2
     assert t1.startswith("experiment: geometric-progression")
+
+
+def reference_point_set(rng, window, min_points=1, max_points=6):
+    """The generator's draws, with ceil and floor taken on Fractions."""
+    k = rng.randint(min_points, max_points)
+    accepted = []
+    attempts = 0
+    while len(accepted) < k and attempts < 64 * k:
+        attempts += 1
+        q = rng.randint(1, harness.DENOMINATOR_BOUND)
+        c = F(rng.randint(math.ceil(window.lo * q), math.floor(window.hi * q)), q)
+        if c not in accepted:
+            accepted.append(c)
+    return PointSet(tuple(sorted(accepted)))
+
+
+@pytest.mark.parametrize("lo,hi", [(F(-7, 3), F(5, 2)), (F(-10), F(-1, 3))])
+def test_generator_draws_match_ceil_floor_reference(lo, hi):
+    cfg = GeneratorConfig(window=Window(lo, hi))
+    ours, ref = random.Random(5), random.Random(5)
+    for _ in range(300):
+        assert harness.random_point_set(ours, cfg) == reference_point_set(ref, cfg.window)
+    assert ours.random() == ref.random()

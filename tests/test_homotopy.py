@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,7 @@ from netline import (
 )
 from netline.harness import GeneratorConfig, random_lambda, random_point_set
 from netline.homotopy import HomotopyTrace, TraceRow
+from test_geometry import COPRIME_DENOMINATORS, coprime_scalar, sup_norm_hausdorff
 
 
 def test_f_map_values():
@@ -196,3 +199,88 @@ def test_gh_side_consistency_on_samples():
         res = gh_branch_bound(a, b, budget=50_000)
         dh = hausdorff(deformed, w.span())
         assert res.upper <= dh + step
+
+
+# ---------------------------------------------------------------------------
+# differential check against a Fraction reference
+
+
+def reference_contract(x: PointSet, lam: F, w: Window) -> IntervalUnion:
+    """Thicken by lam/(1-lam), fuse, then clip to the window, all in Fractions."""
+    if lam == 1:
+        return w.span()
+    r = lam / (1 - lam)
+    fused: list[list[F]] = []
+    for p in x.points:
+        if fused and p - r <= fused[-1][1]:
+            fused[-1][1] = p + r
+        else:
+            fused.append([p - r, p + r])
+    clipped = [(max(a, w.lo), min(b, w.hi)) for a, b in fused]
+    return IntervalUnion(tuple((a, b) for a, b in clipped if a <= b))
+
+
+def window_scalar(rng: random.Random, lo: F, hi: F) -> F:
+    q = rng.choice(COPRIME_DENOMINATORS)
+    return F(rng.randint(math.ceil(lo * q), math.floor(hi * q)), q)
+
+
+def differential_lambda(rng: random.Random, width: F) -> F:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(0)
+    if kind == 1:  # a radius past the window width: clamp both sides, fuse all
+        r = width + rng.randint(0, 3)
+        return r / (1 + r)
+    return F(rng.randint(0, 96), rng.choice((97, 101, 103)))
+
+
+def test_deformations_match_fraction_reference():
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(500):
+        lo = coprime_scalar(rng, -20, 5)
+        w = Window(lo, lo + coprime_scalar(rng, 1, 15))
+        width = w.hi - w.lo
+        x, xn = (PointSet.of(window_scalar(rng, w.lo, w.hi)
+                             for _ in range(rng.randint(1, 8))) for _ in range(2))
+        l1, l2 = differential_lambda(rng, width), differential_lambda(rng, width)
+        ref1, ref2 = reference_contract(x, l1, w), reference_contract(x, l2, w)
+        assert contract(x, l1, w) == ref1
+        d, bound = continuity_in_lambda(x, l1, l2, w)
+        assert d == sup_norm_hausdorff(ref1, ref2)
+        assert bound == abs(l1 / (1 - l1) - l2 / (1 - l2))
+        assert stability_in_space(x, xn, l1, w) == (
+            sup_norm_hausdorff(ref1, reference_contract(xn, l1, w)),
+            sup_norm_hausdorff(x, xn),
+        )
+        grid = sorted([l1, l2, differential_lambda(rng, width)] + [F(1)] * rng.randint(0, 1))
+        prev = None
+        for row, lam in zip(trace(x, w, grid).rows, grid):
+            ref = reference_contract(x, lam, w)
+            assert row.space == ref
+            assert row.d_to_window == sup_norm_hausdorff(ref, w.span())
+            assert row.step_d == (0 if prev is None else sup_norm_hausdorff(ref, prev))
+            prev = ref
+        seen["lam 0"] += F(0) in (l1, l2)
+        seen["both clamps"] += ref1.intervals[0][0] == w.lo and ref1.intervals[-1][1] == w.hi
+        seen["one span"] += len(ref1) == 1 < len(x)
+        seen["denominator 1"] += any(p.denominator == 1 for p in x.points)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_deformation_checks_reject_sets_outside_the_window():
+    w = Window.of(F(-7, 3), F(5, 2))
+    inside, outside = PointSet.of([-2, 0, F(5, 2)]), PointSet.of([0, 3])
+    message = "point set must lie inside the window"
+    with pytest.raises(ValueError, match=message):
+        continuity_in_lambda(outside, 0, F(1, 2), w)
+    with pytest.raises(ValueError, match=message):
+        stability_in_space(outside, inside, F(1, 2), w)
+    with pytest.raises(ValueError, match=message):
+        stability_in_space(inside, outside, F(1, 2), w)
+    # the parameter range is checked before the window
+    with pytest.raises(ValueError, match="lam must lie in"):
+        stability_in_space(inside, outside, 1, w)
+    with pytest.raises(ValueError, match="both parameters"):
+        continuity_in_lambda(outside, 0, 1, w)
