@@ -305,5 +305,6 @@ def test_generator_draws_match_ceil_floor_reference(lo, hi):
     cfg = GeneratorConfig(window=Window(lo, hi))
     ours, ref = random.Random(5), random.Random(5)
     for _ in range(300):
-        assert harness.random_point_set(ours, cfg) == reference_point_set(ref, cfg.window)
+        drawn = harness.random_point_set(ours, cfg)
+        assert drawn == reference_point_set(ref, cfg.window)
     assert ours.random() == ref.random()

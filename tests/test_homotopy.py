@@ -254,7 +254,8 @@ def test_deformations_match_fraction_reference():
             sup_norm_hausdorff(ref1, reference_contract(xn, l1, w)),
             sup_norm_hausdorff(x, xn),
         )
-        grid = sorted([l1, l2, differential_lambda(rng, width)] + [F(1)] * rng.randint(0, 1))
+        grid = [l1, l2, differential_lambda(rng, width)] + [F(1)] * rng.randint(0, 1)
+        grid.sort()
         prev = None
         for row, lam in zip(trace(x, w, grid).rows, grid):
             ref = reference_contract(x, lam, w)
@@ -263,7 +264,8 @@ def test_deformations_match_fraction_reference():
             assert row.step_d == (0 if prev is None else sup_norm_hausdorff(ref, prev))
             prev = ref
         seen["lam 0"] += F(0) in (l1, l2)
-        seen["both clamps"] += ref1.intervals[0][0] == w.lo and ref1.intervals[-1][1] == w.hi
+        left, right = ref1.intervals[0][0], ref1.intervals[-1][1]
+        seen["both clamps"] += left == w.lo and right == w.hi
         seen["one span"] += len(ref1) == 1 < len(x)
         seen["denominator 1"] += any(p.denominator == 1 for p in x.points)
     assert min(seen.values()) >= 50, seen
