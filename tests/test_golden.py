@@ -53,6 +53,15 @@ INPUTS = {
         ["0", "3", "7/2", "5/2", "7/2", "4"], ["3", "0", "2", "4", "5/2", "2"],
         ["7/2", "2", "0", "5/2", "7/2", "3"], ["5/2", "4", "5/2", "0", "5/2", "7/2"],
         ["7/2", "5/2", "7/2", "5/2", "0", "5/2"], ["4", "2", "3", "7/2", "5/2", "0"]]},
+    # unnormalised and mixed scalar forms, in increasing order
+    "pu.json": {"kind": "points", "coords": [
+        "-7/14", "-0", "6/4", "2.50", "007", "1e1"]},
+    # spans out of order, overlapping and touching, so merge has to sort
+    "ivu.json": {"kind": "intervals", "intervals": [
+        ["5", "6"], ["0", "2"], ["3/2", "3"], ["12/4", "4"]]},
+    "mxu.json": {"kind": "matrix",
+                 "dist": [["0", "4/2", "3.0"], ["2", "0", "5/2"],
+                          ["3", "10/4", "-0"]]},
 }
 
 # (case name, argv, certificate file written by the command or None)
@@ -61,10 +70,14 @@ CASES = [
     ("dist-h-intervals", ["dist-h", "iv.json", "p2.json"], None),
     ("dist-h-window", ["dist-h", "win.json", "iv.json"], None),
     ("dist-h-coprime", ["dist-h", "ivp.json", "pp.json"], None),
+    ("dist-h-unnormalised", ["dist-h", "pu.json", "ivu.json"], None),
     ("dist-gh-line", ["dist-gh", "p1.json", "p2.json", "--method", "exact",
                       "--certificate", "line.cert.json"], "line.cert.json"),
     ("dist-gh-matrix", ["dist-gh", "mx.json", "m3.json", "--method", "exact",
                         "--certificate", "matrix.cert.json"], "matrix.cert.json"),
+    ("dist-gh-matrix-unnormalised", ["dist-gh", "mxu.json", "m3.json",
+                                     "--method", "exact", "--certificate",
+                                     "mu.cert.json"], "mu.cert.json"),
     ("dist-gh-bb", ["dist-gh", "b1.json", "b2.json", "--method", "branch-bound",
                     "--budget", "5000", "--certificate", "bb.cert.json"],
      "bb.cert.json"),
