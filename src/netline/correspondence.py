@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import add
 from typing import Iterable, Sequence, Union
 
-from .geometry import PointSet, Scalar, ScalarLike, as_scalar
+from .geometry import PointSet, ScalarLike, _int_lists, as_scalar
 
 Pair = tuple[int, int]
 
@@ -25,7 +25,7 @@ class FiniteMetricSpace:
     already force every metric axiom; its distances are derived on demand.
     A matrix space is validated against the full metric contract: zero
     diagonal, symmetry, strictly positive off-diagonal entries and the exact
-    triangle inequality (O(n^3), fine at desk scale).
+    triangle inequality, on ints over one lcm (O(n^3), fine at desk scale).
     """
 
     metric: PointSet | tuple[tuple[Fraction, ...], ...]
@@ -33,29 +33,26 @@ class FiniteMetricSpace:
     def __post_init__(self) -> None:
         if isinstance(self.metric, PointSet):
             return
-        dist = self.metric
-        n = len(dist)
+        n = len(self.metric)
         if n == 0:
             raise ValueError("a metric space needs at least one point")
-        for row in dist:
-            if len(row) != n:
-                raise ValueError("distance matrix must be square")
-        for i in range(n):
-            if dist[i][i] != 0:
+        if any(len(row) != n for row in self.metric):
+            raise ValueError("distance matrix must be square")
+        _, d = _int_lists(*self.metric)
+        for i, ri in enumerate(d):
+            if ri[i] != 0:
                 raise ValueError("diagonal must be zero")
             for j in range(i + 1, n):
-                if dist[i][j] != dist[j][i]:
+                if ri[j] != d[j][i]:
                     raise ValueError("distance matrix must be symmetric")
-                if dist[i][j] <= 0:
+                if ri[j] <= 0:
                     raise ValueError("off-diagonal distances must be positive")
-        for i in range(n):
-            for j in range(n):
-                dij = dist[i][j]
-                for k in range(n):
-                    if dij > dist[i][k] + dist[k][j]:
-                        raise ValueError(
-                            f"triangle inequality fails at ({i},{j},{k})"
-                        )
+        for i, ri in enumerate(d):
+            for j, rj in enumerate(d):
+                dij = ri[j]
+                if dij > min(map(add, ri, rj)):  # rj[k] = d[k][j] by symmetry
+                    k = next(k for k, (a, b) in enumerate(zip(ri, rj)) if dij > a + b)
+                    raise ValueError(f"triangle inequality fails at ({i},{j},{k})")
 
     @classmethod
     def from_line(cls, points: PointSet) -> "FiniteMetricSpace":
@@ -208,23 +205,10 @@ def scaled_int_matrices(
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """Both matrices over a common denominator, as plain int matrices."""
     if x.line_coords is not None and y.line_coords is not None:
-        den = 1
-        for pts in (x.line_coords.points, y.line_coords.points):
-            for v in pts:
-                den = lcm(den, v.denominator)
-        xs = int_coords(x.line_coords, den)
-        ys = int_coords(y.line_coords, den)
-        dx = [[abs(a - b) for b in xs] for a in xs]
-        dy = [[abs(a - b) for b in ys] for a in ys]
-        return den, dx, dy
-    den = 1
-    for space in (x, y):
-        for row in space.dist:
-            for v in row:
-                den = lcm(den, v.denominator)
-    dx = [[v.numerator * (den // v.denominator) for v in row] for row in x.dist]
-    dy = [[v.numerator * (den // v.denominator) for v in row] for row in y.dist]
-    return den, dx, dy
+        den, lines = _int_lists(x.line_coords.points, y.line_coords.points)
+        return den, *([[abs(a - b) for b in xs] for a in xs] for xs in lines)
+    den, rows = _int_lists(*x.dist, *y.dist)
+    return den, rows[: x.n], rows[x.n :]
 
 
 def int_distortion(

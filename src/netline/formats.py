@@ -1,7 +1,10 @@
 """Document formats: space descriptions, distance matrices, GH certificates.
 
-Scalars travel as exact strings ("p/q", integers, or exact decimals like
-"3.25"); JSON floats are rejected because they are already rounded.
+Scalars travel as exact strings; JSON floats are rejected because they are
+already rounded.  A scalar string is whatever `fractions.Fraction` accepts
+on the running Python; "p/q", integers and plain decimals like "3.25" are
+portable.  The forms the program writes, ASCII integers and "p/q", are
+parsed with `int()`, everything else by `Fraction(str)` itself.
 Printing is canonical and deterministic, so parse(print(x)) = x bit-exact
 and identical inputs always produce byte-identical documents.
 """
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from .correspondence import Correspondence, FiniteMetricSpace, distortion
 from .geometry import IntervalUnion, PointSet, Window, scalar_str
@@ -27,21 +30,29 @@ class FormatError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-def parse_scalar(value: Any, location: str = "$") -> Fraction:
-    if isinstance(value, bool):
-        raise FormatError(location, "expected an exact number, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise FormatError(
-            location, "floats are not exact; write the value as a string"
-        )
-    if isinstance(value, str):
-        try:
+def parse_scalar(value: Any, location: str | Callable[[], str] = "$") -> Fraction:
+    """The exact value of a document scalar; a callable ``location`` is
+    called to build the field's location only if the value fails."""
+    try:
+        if isinstance(value, str):
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isdigit() and digits.isascii() and (
+                not slash or den.isdigit() and den.isascii()
+            ):
+                return Fraction(int(num), int(den) if slash else 1)
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(location, f"not a rational: {value!r} ({exc})")
-    raise FormatError(location, f"expected a rational, got {type(value).__name__}")
+        if isinstance(value, bool):
+            message = "expected an exact number, got a boolean"
+        elif isinstance(value, int):
+            return Fraction(value)
+        elif isinstance(value, float):
+            message = "floats are not exact; write the value as a string"
+        else:
+            message = f"expected a rational, got {type(value).__name__}"
+    except (ValueError, ZeroDivisionError) as exc:
+        message = f"not a rational: {value!r} ({exc})"
+    raise FormatError(location() if callable(location) else location, message)
 
 
 def _require(doc: Any, key: str, location: str) -> Any:
@@ -59,29 +70,28 @@ def parse_space(doc: Any, location: str = "$") -> SpaceObject:
         coords = _require(doc, "coords", location)
         if not isinstance(coords, list) or not coords:
             raise FormatError(f"{location}.coords", "expected a nonempty list")
-        points = [
-            parse_scalar(v, f"{location}.coords[{i}]") for i, v in enumerate(coords)
-        ]
+        points = [parse_scalar(v, lambda: f"{location}.coords[{k}]")
+                  for k, v in enumerate(coords)]
         try:
             return PointSet(tuple(points))
         except ValueError as exc:
             raise FormatError(f"{location}.coords", str(exc))
     if kind == "intervals":
         spans = _require(doc, "intervals", location)
+        where = f"{location}.intervals"
         if not isinstance(spans, list) or not spans:
-            raise FormatError(f"{location}.intervals", "expected a nonempty list")
+            raise FormatError(where, "expected a nonempty list")
         parsed = []
         for i, span in enumerate(spans):
-            here = f"{location}.intervals[{i}]"
             if not isinstance(span, list) or len(span) != 2:
-                raise FormatError(here, "expected a pair [lo, hi]")
-            parsed.append(
-                (parse_scalar(span[0], f"{here}[0]"), parse_scalar(span[1], f"{here}[1]"))
-            )
+                raise FormatError(f"{where}[{i}]", "expected a pair [lo, hi]")
+            lo, hi = span
+            parsed.append((parse_scalar(lo, lambda: f"{where}[{i}][0]"),
+                           parse_scalar(hi, lambda: f"{where}[{i}][1]")))
         try:
             return IntervalUnion.merge(parsed)
         except ValueError as exc:
-            raise FormatError(f"{location}.intervals", str(exc))
+            raise FormatError(where, str(exc))
     if kind == "window":
         lo = parse_scalar(_require(doc, "lo", location), f"{location}.lo")
         hi = parse_scalar(_require(doc, "hi", location), f"{location}.hi")
@@ -144,12 +154,8 @@ def parse_metric_space(doc: Any, location: str = "$") -> FiniteMetricSpace:
         for i, row in enumerate(rows):
             if not isinstance(row, list):
                 raise FormatError(f"{location}.dist[{i}]", "expected a list")
-            parsed.append(
-                tuple(
-                    parse_scalar(v, f"{location}.dist[{i}][{j}]")
-                    for j, v in enumerate(row)
-                )
-            )
+            parsed.append(tuple(parse_scalar(v, lambda: f"{location}.dist[{i}][{j}]")
+                                for j, v in enumerate(row)))
         try:
             return FiniteMetricSpace(tuple(parsed))
         except ValueError as exc:

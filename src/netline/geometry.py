@@ -16,6 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import lt
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Fraction
@@ -33,9 +34,7 @@ def as_scalar(value: ScalarLike) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError(f"not a scalar: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
@@ -54,9 +53,9 @@ class PointSet:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("a point set needs at least one point")
-        for a, b in zip(self.points, self.points[1:]):
-            if not a < b:
-                raise ValueError("points must be strictly increasing")
+        _, (xs,) = _int_lists(self.points)
+        if not all(map(lt, xs, xs[1:])):
+            raise ValueError("points must be strictly increasing")
 
     @classmethod
     def of(cls, values: Iterable[ScalarLike]) -> "PointSet":
@@ -117,17 +116,35 @@ class IntervalUnion:
     def __post_init__(self) -> None:
         if not self.intervals:
             raise ValueError("an interval union needs at least one interval")
-        for a, b in self.intervals:
-            if a > b:
+        _, (ends,) = _int_lists([v for span in self.intervals for v in span])
+        for (a, b), lo, hi in zip(self.intervals, ends[::2], ends[1::2]):
+            if lo > hi:
                 raise ValueError(f"backwards interval [{a}, {b}]")
-        for (_, b0), (a1, _) in zip(self.intervals, self.intervals[1:]):
-            if not b0 < a1:
-                raise ValueError("intervals must be disjoint and ordered; use merge()")
+        if not all(map(lt, ends[1::2], ends[2::2])):
+            raise ValueError("intervals must be disjoint and ordered; use merge()")
 
     @classmethod
     def merge(cls, spans: Iterable[tuple[ScalarLike, ScalarLike]]) -> "IntervalUnion":
-        """Canonicalize: sort, then fuse overlapping or touching intervals."""
-        return fuse_sorted(sorted((as_scalar(a), as_scalar(b)) for a, b in spans))
+        """Canonicalize: sort (unless in order), then fuse overlapping or
+        touching intervals, comparing ints over one lcm."""
+        pairs = [(as_scalar(a), as_scalar(b)) for a, b in spans]
+        _, (ends,) = _int_lists([v for span in pairs for v in span])
+        keys = list(zip(ends[::2], ends[1::2]))
+        if any(k0 > k1 for k0, k1 in zip(keys, keys[1:])):
+            order = sorted(range(len(pairs)), key=keys.__getitem__)
+            pairs, keys = [pairs[k] for k in order], [keys[k] for k in order]
+        fused: list[tuple[Fraction, Fraction]] = []
+        top = 0  # scaled right end of fused[-1]
+        for (a, b), (lo, hi) in zip(pairs, keys):
+            if lo > hi:
+                raise ValueError(f"backwards interval [{a}, {b}]")
+            if fused and lo <= top:
+                if hi > top:
+                    fused[-1], top = (fused[-1][0], b), hi
+            else:
+                fused.append((a, b))
+                top = hi
+        return cls(tuple(fused))
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -137,20 +154,6 @@ class IntervalUnion:
             any(oa <= a and b <= ob for oa, ob in other.intervals)
             for a, b in self.intervals
         )
-
-
-def fuse_sorted(spans: Iterable[tuple[Fraction, Fraction]]) -> IntervalUnion:
-    """Fuse spans sorted by left end in one pass; overlapping or touching join."""
-    fused: list[tuple[Fraction, Fraction]] = []
-    for a, b in spans:
-        if a > b:
-            raise ValueError(f"backwards interval [{a}, {b}]")
-        if fused and a <= fused[-1][1]:
-            lo, hi = fused[-1]
-            fused[-1] = (lo, max(hi, b))
-        else:
-            fused.append((a, b))
-    return IntervalUnion(tuple(fused))
 
 
 @dataclass(frozen=True)
@@ -216,6 +219,13 @@ def _scaled(*span_lists: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[i
                     for span in spans for v in span] for spans in span_lists]
 
 
+def _int_lists(*lists: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """The lcm of every denominator, and each list times it, as plain ints."""
+    den = lcm(*{v.denominator for values in lists for v in values})
+    return den, [[v.numerator * (den // v.denominator) for v in values]
+                 for values in lists]
+
+
 def _symmetric_sup(a: list[int], b: list[int]) -> int:
     """Scaled Hausdorff distance of two flat sorted span lists."""
     return max(_directed_sup(a, b), _directed_sup(b, a))
@@ -264,7 +274,7 @@ def thicken(s: SetOnLine, r: ScalarLike) -> IntervalUnion:
     radius = as_scalar(r)
     if radius < 0:
         raise ValueError("thickening radius must be nonnegative")
-    return fuse_sorted((a - radius, b + radius) for a, b in _spans(s))
+    return IntervalUnion.merge((a - radius, b + radius) for a, b in _spans(s))
 
 
 def covering_radius(a: PointSet, w: Window) -> Fraction:

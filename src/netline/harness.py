@@ -152,13 +152,12 @@ def random_point_set(
     max_points: int = MAX_POINTS,
 ) -> PointSet:
     k = rng.randint(min_points, max_points)
-    accepted: list[Fraction] = []
+    accepted: set[Fraction] = set()
     attempts = 0
     while len(accepted) < k and attempts < 64 * k:
         attempts += 1
         c = random_scalar(rng, cfg.window.lo, cfg.window.hi, DENOMINATOR_BOUND)
-        if c not in accepted:
-            accepted.append(c)
+        accepted.add(c)
     return PointSet(tuple(sorted(accepted)))
 
 

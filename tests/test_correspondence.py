@@ -109,3 +109,35 @@ def test_scale_space():
     assert scale_space(x, 3).line_coords.points == (F(0), F(3))
     with pytest.raises(ValueError):
         scale_space(x, -1)
+
+
+def test_metric_checks_compare_values_not_numerators():
+    # 3/2 <= 1 + 1 holds, although the numerator 3 exceeds 1 + 1
+    FiniteMetricSpace.from_matrix([[0, F(3, 2), 1], [F(3, 2), 0, 1], [1, 1, 0]])
+    # 2 > 1/2 + 1/2 fails, although the numerators give 2 <= 1 + 1
+    half = F(1, 2)
+    with pytest.raises(ValueError, match=r"fails at \(0,1,2\)"):
+        FiniteMetricSpace.from_matrix([[0, 2, half], [2, 0, half], [half, half, 0]])
+
+
+def test_triangle_check_reports_first_failing_index():
+    """Against the plain Fraction loop over (i, j, k) in lexicographic order."""
+    rng = random.Random(29)
+    for _ in range(400):
+        n = rng.randint(2, 5)
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = F(rng.randint(1, 12), rng.randint(1, 4))
+        want = next(
+            (f"triangle inequality fails at ({i},{j},{k})"
+             for i in range(n) for j in range(n) for k in range(n)
+             if rows[i][j] > rows[i][k] + rows[k][j]),
+            None,
+        )
+        try:
+            FiniteMetricSpace.from_matrix(rows)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, rows

@@ -172,3 +172,62 @@ def test_gh_certificate_missing_field_is_a_format_error():
     with pytest.raises(FormatError) as exc:
         verify_gh_certificate(doc)
     assert exc.value.location == "$.upper"
+
+
+# the two forms the parser takes with int(), their look-alikes, and strings
+# whose acceptance differs between Python versions
+EDGE_SCALARS = [
+    "12", "-3", "3/6", "-0", "007/014", "+3", " 3", "3/-4", "--3", "-", "1/0",
+    "1.5", "1e3", "1_000", "1_0/2", "3 / 4", "٣", "3/٤", "9" * 5000,
+]
+
+
+def _as_fraction_does(s: str):
+    """What parse_scalar must give: Fraction(s), or the error it wraps."""
+    try:
+        return F(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"$: not a rational: {s!r} ({exc})"
+
+
+def _as_parsed(s: str):
+    try:
+        return parse_scalar(s)
+    except FormatError as exc:
+        return str(exc)
+
+
+def test_parse_scalar_agrees_with_fraction_on_edge_strings():
+    for s in EDGE_SCALARS:
+        assert _as_parsed(s) == _as_fraction_does(s), s[:20]
+
+
+def test_parse_scalar_agrees_with_fraction_on_random_strings():
+    rng = random.Random(9)
+    alphabet = "0123456789-+/._ e"
+    strings = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+               for _ in range(2000)]
+    accepted = 0
+    for s in strings:
+        want = _as_fraction_does(s)
+        assert _as_parsed(s) == want, s
+        accepted += isinstance(want, F)
+    assert accepted > 100  # the table reaches both the fast path and the rest
+
+
+def test_bad_scalar_locations():
+    with pytest.raises(FormatError) as err:
+        parse_space({"kind": "points", "coords": ["0", "1/2", "3/-4", "x"]})
+    assert err.value.location == "$.coords[2]"
+    with pytest.raises(FormatError) as err:
+        parse_space({"kind": "intervals", "intervals": [["0", "1"], ["2", "1/0"]]})
+    assert err.value.location == "$.intervals[1][1]"
+    # fields fail in document order: a bad scalar before a bad pair
+    with pytest.raises(FormatError) as err:
+        parse_space({"kind": "intervals", "intervals": [["0", "--1"], ["2"]]})
+    assert err.value.location == "$.intervals[0][1]"
+    with pytest.raises(FormatError) as err:
+        parse_metric_space(
+            {"kind": "matrix", "dist": [["0", "1"], ["1", "0"], ["1", "+-1"]]}, "m"
+        )
+    assert err.value.location == "m.dist[2][1]"

@@ -258,3 +258,59 @@ def test_ultrametric_small_cases():
     # equality case: d_H = 5 and the sparse set has covering radius 5
     assert hausdorff(a, b) == 5
     assert max(covering_radius(a, w10), covering_radius(b, w10)) == 5
+
+
+def fraction_merge(spans):
+    """Reference merge on Fraction comparisons: sort, then fuse in one pass."""
+    fused = []
+    for a, b in sorted(spans):
+        if a > b:
+            raise ValueError(f"backwards interval [{a}, {b}]")
+        if fused and a <= fused[-1][1]:
+            fused[-1] = (fused[-1][0], max(fused[-1][1], b))
+        else:
+            fused.append((a, b))
+    return tuple(fused)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_merge_matches_fraction_reference():
+    """Unsorted, sorted, overlapping, touching, equal-left and backwards spans;
+    in-order input skips the sort, and the first backwards span in sorted
+    order is the one reported."""
+    rng = random.Random(17)
+    for _ in range(1500):
+        spans = []
+        for _ in range(rng.randint(1, 6)):
+            a = F(rng.randint(-12, 12), rng.randint(1, 4))
+            spans.append((a, a + F(rng.randint(-1, 10), rng.randint(1, 4))))
+        if rng.random() < 0.5:
+            spans.sort()
+        got = _outcome(lambda s: IntervalUnion.merge(s).intervals, spans)
+        assert got == _outcome(fraction_merge, spans), spans
+
+
+def test_order_checks_match_fraction_comparisons():
+    rng = random.Random(23)
+    for _ in range(1000):
+        pts = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.7:
+            pts.sort()
+        increasing = all(a < b for a, b in zip(pts, pts[1:]))
+        assert _outcome(PointSet, tuple(pts)) == (
+            PointSet(tuple(pts)) if increasing else "points must be strictly increasing"
+        )
+        spans = tuple(zip(pts[::2], pts[1::2]))
+        if spans:
+            backwards = [f"backwards interval [{a}, {b}]" for a, b in spans if a > b]
+            apart = all(b0 < a1 for (_, b0), (a1, _) in zip(spans, spans[1:]))
+            want = backwards[0] if backwards else (
+                IntervalUnion(spans) if apart
+                else "intervals must be disjoint and ordered; use merge()")
+            assert _outcome(IntervalUnion, spans) == want
