@@ -49,9 +49,8 @@ class FiniteMetricSpace:
                     raise ValueError("off-diagonal distances must be positive")
         for i, ri in enumerate(d):
             for j, rj in enumerate(d):
-                dij = ri[j]
-                if dij > min(map(add, ri, rj)):  # rj[k] = d[k][j] by symmetry
-                    k = next(k for k, (a, b) in enumerate(zip(ri, rj)) if dij > a + b)
+                if ri[j] > min(map(add, ri, rj)):  # rj[k] = d[k][j] by symmetry
+                    k = next(k for k, s in enumerate(map(add, ri, rj)) if ri[j] > s)
                     raise ValueError(f"triangle inequality fails at ({i},{j},{k})")
 
     @classmethod

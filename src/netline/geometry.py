@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import lt
+from operator import le, lt
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Fraction
@@ -130,7 +130,7 @@ class IntervalUnion:
         pairs = [(as_scalar(a), as_scalar(b)) for a, b in spans]
         _, (ends,) = _int_lists([v for span in pairs for v in span])
         keys = list(zip(ends[::2], ends[1::2]))
-        if any(k0 > k1 for k0, k1 in zip(keys, keys[1:])):
+        if not all(map(le, keys, keys[1:])):
             order = sorted(range(len(pairs)), key=keys.__getitem__)
             pairs, keys = [pairs[k] for k in order], [keys[k] for k in order]
         fused: list[tuple[Fraction, Fraction]] = []
@@ -144,7 +144,9 @@ class IntervalUnion:
             else:
                 fused.append((a, b))
                 top = hi
-        return cls(tuple(fused))
+        union = object.__new__(cls)  # canonical by construction: no re-check
+        object.__setattr__(union, "intervals", tuple(fused))
+        return union
 
     def __len__(self) -> int:
         return len(self.intervals)
