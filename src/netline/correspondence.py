@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .geometry import PointSet, ScalarLike, _int_lists, as_scalar
+from .geometry import PointSet, ScalarLike, as_scalar
 
 Pair = tuple[int, int]
 
@@ -197,6 +198,13 @@ def int_coords(points: PointSet, den: int) -> list[int]:
     """Coordinates times ``den`` as plain ints; ``den`` must clear every
     denominator (multiplying the Fractions instead would keep Fractions)."""
     return [v.numerator * (den // v.denominator) for v in points.points]
+
+
+def _int_lists(*lists: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
+    """The lcm of every denominator, and each list times it, as plain ints."""
+    den = lcm(*{v.denominator for values in lists for v in values})
+    return den, [[v.numerator * (den // v.denominator) for v in values]
+                 for values in lists]
 
 
 def scaled_int_matrices(

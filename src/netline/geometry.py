@@ -16,7 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import le, lt
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Fraction
@@ -39,6 +38,11 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
+def _cmp(a: Fraction, b: Fraction) -> int:
+    """The sign of a - b, by cross-multiplying: cheaper than comparing Fractions."""
+    return a.numerator * b.denominator - b.numerator * a.denominator
+
+
 def scalar_str(value: Fraction) -> str:
     """Canonical text form: "p/q", or plain "p" for integers."""
     return str(value)
@@ -53,9 +57,9 @@ class PointSet:
     def __post_init__(self) -> None:
         if not self.points:
             raise ValueError("a point set needs at least one point")
-        _, (xs,) = _int_lists(self.points)
-        if not all(map(lt, xs, xs[1:])):
-            raise ValueError("points must be strictly increasing")
+        for a, b in zip(self.points, self.points[1:]):
+            if _cmp(a, b) >= 0:
+                raise ValueError("points must be strictly increasing")
 
     @classmethod
     def of(cls, values: Iterable[ScalarLike]) -> "PointSet":
@@ -116,34 +120,29 @@ class IntervalUnion:
     def __post_init__(self) -> None:
         if not self.intervals:
             raise ValueError("an interval union needs at least one interval")
-        _, (ends,) = _int_lists([v for span in self.intervals for v in span])
-        for (a, b), lo, hi in zip(self.intervals, ends[::2], ends[1::2]):
-            if lo > hi:
+        for a, b in self.intervals:
+            if _cmp(a, b) > 0:
                 raise ValueError(f"backwards interval [{a}, {b}]")
-        if not all(map(lt, ends[1::2], ends[2::2])):
-            raise ValueError("intervals must be disjoint and ordered; use merge()")
+        for (_, b0), (a1, _) in zip(self.intervals, self.intervals[1:]):
+            if _cmp(b0, a1) >= 0:
+                raise ValueError("intervals must be disjoint and ordered; use merge()")
 
     @classmethod
     def merge(cls, spans: Iterable[tuple[ScalarLike, ScalarLike]]) -> "IntervalUnion":
-        """Canonicalize: sort (unless in order), then fuse overlapping or
-        touching intervals, comparing ints over one lcm."""
+        """Canonicalize: sort (unless the left ends already increase), then
+        fuse overlapping or touching intervals."""
         pairs = [(as_scalar(a), as_scalar(b)) for a, b in spans]
-        _, (ends,) = _int_lists([v for span in pairs for v in span])
-        keys = list(zip(ends[::2], ends[1::2]))
-        if not all(map(le, keys, keys[1:])):
-            order = sorted(range(len(pairs)), key=keys.__getitem__)
-            pairs, keys = [pairs[k] for k in order], [keys[k] for k in order]
+        if any(_cmp(a0, a1) >= 0 for (a0, _), (a1, _) in zip(pairs, pairs[1:])):
+            pairs.sort()
         fused: list[tuple[Fraction, Fraction]] = []
-        top = 0  # scaled right end of fused[-1]
-        for (a, b), (lo, hi) in zip(pairs, keys):
-            if lo > hi:
+        for a, b in pairs:
+            if _cmp(a, b) > 0:
                 raise ValueError(f"backwards interval [{a}, {b}]")
-            if fused and lo <= top:
-                if hi > top:
-                    fused[-1], top = (fused[-1][0], b), hi
+            if fused and _cmp(a, fused[-1][1]) <= 0:
+                if _cmp(b, fused[-1][1]) > 0:
+                    fused[-1] = (fused[-1][0], b)
             else:
                 fused.append((a, b))
-                top = hi
         union = object.__new__(cls)  # canonical by construction: no re-check
         object.__setattr__(union, "intervals", tuple(fused))
         return union
@@ -219,13 +218,6 @@ def _scaled(*span_lists: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[i
                       for span in spans for v in span})
     return scale, [[v.numerator * (scale // v.denominator)
                     for span in spans for v in span] for spans in span_lists]
-
-
-def _int_lists(*lists: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
-    """The lcm of every denominator, and each list times it, as plain ints."""
-    den = lcm(*{v.denominator for values in lists for v in values})
-    return den, [[v.numerator * (den // v.denominator) for v in values]
-                 for values in lists]
 
 
 def _symmetric_sup(a: list[int], b: list[int]) -> int:
