@@ -129,8 +129,7 @@ class IntervalUnion:
 
     @classmethod
     def merge(cls, spans: Iterable[tuple[ScalarLike, ScalarLike]]) -> "IntervalUnion":
-        """Canonicalize: sort (unless the left ends already increase), then
-        fuse overlapping or touching intervals."""
+        """Sort if out of order, then fuse overlapping or touching intervals."""
         pairs = [(as_scalar(a), as_scalar(b)) for a, b in spans]
         if any(_cmp(a0, a1) >= 0 for (a0, _), (a1, _) in zip(pairs, pairs[1:])):
             pairs.sort()

@@ -152,13 +152,14 @@ def random_point_set(
     max_points: int = MAX_POINTS,
 ) -> PointSet:
     k = rng.randint(min_points, max_points)
-    accepted: set[Fraction] = set()
+    # (numerator, denominator) keys: a Fraction's hash takes a modular inverse
+    accepted: dict[tuple[int, int], Fraction] = {}
     attempts = 0
     while len(accepted) < k and attempts < 64 * k:
         attempts += 1
         c = random_scalar(rng, cfg.window.lo, cfg.window.hi, DENOMINATOR_BOUND)
-        accepted.add(c)
-    return PointSet(tuple(sorted(accepted)))
+        accepted[c.numerator, c.denominator] = c
+    return PointSet(tuple(sorted(accepted.values())))
 
 
 def random_metric_space(
