@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .formats import (
     dumps_doc,
     format_space,
     gh_certificate_doc,
+    loads_doc,
     loads_space,
     parse_metric_space,
     parse_scalar,
@@ -40,10 +40,7 @@ def _load_space(path: str) -> SpaceObject:
 
 
 def _load_metric(path: str):
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(path, f"invalid JSON: {exc}")
+    doc = loads_doc(Path(path).read_text(encoding="utf-8"), path)
     return parse_metric_space(doc, location=path)
 
 

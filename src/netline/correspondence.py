@@ -1,19 +1,19 @@
 """Finite metric spaces, relations between them, and exact distortion.
 
-Distortion computations run on integer matrices obtained by clearing the
-common denominator of both distance matrices, which keeps the inner
-O(|R|^2) loop on machine-friendly Python ints while staying exact.
+Distortion computations run on integer matrices: `geometry._scaled`
+multiplies both spaces by one scale, 2·lcm of their denominators, which
+keeps the inner O(|R|^2) loop on machine-friendly Python ints while staying
+exact.  Every comparison is homogeneous, so the factor 2 changes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .geometry import PointSet, ScalarLike, as_scalar
+from .geometry import PointSet, ScalarLike, _scaled, as_scalar
 
 Pair = tuple[int, int]
 
@@ -26,7 +26,7 @@ class FiniteMetricSpace:
     already force every metric axiom; its distances are derived on demand.
     A matrix space is validated against the full metric contract: zero
     diagonal, symmetry, strictly positive off-diagonal entries and the exact
-    triangle inequality, on ints over one lcm (O(n^3), fine at desk scale).
+    triangle inequality, on ints over one scale (O(n^3), fine at desk scale).
     """
 
     metric: PointSet | tuple[tuple[Fraction, ...], ...]
@@ -39,7 +39,7 @@ class FiniteMetricSpace:
             raise ValueError("a metric space needs at least one point")
         if any(len(row) != n for row in self.metric):
             raise ValueError("distance matrix must be square")
-        _, d = _int_lists(*self.metric)
+        _, d = _scaled(*((row,) for row in self.metric))
         for i, ri in enumerate(d):
             if ri[i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -194,27 +194,14 @@ class DistortionCertificate:
 RelationLike = Union[Relation, Correspondence]
 
 
-def int_coords(points: PointSet, den: int) -> list[int]:
-    """Coordinates times ``den`` as plain ints; ``den`` must clear every
-    denominator (multiplying the Fractions instead would keep Fractions)."""
-    return [v.numerator * (den // v.denominator) for v in points.points]
-
-
-def _int_lists(*lists: Sequence[Fraction]) -> tuple[int, list[list[int]]]:
-    """The lcm of every denominator, and each list times it, as plain ints."""
-    den = lcm(*{v.denominator for values in lists for v in values})
-    return den, [[v.numerator * (den // v.denominator) for v in values]
-                 for values in lists]
-
-
 def scaled_int_matrices(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """Both matrices over a common denominator, as plain int matrices."""
     if x.line_coords is not None and y.line_coords is not None:
-        den, lines = _int_lists(x.line_coords.points, y.line_coords.points)
+        den, lines = _scaled((x.line_coords.points,), (y.line_coords.points,))
         return den, *([[abs(a - b) for b in xs] for a in xs] for xs in lines)
-    den, rows = _int_lists(*x.dist, *y.dist)
+    den, rows = _scaled(*((row,) for row in x.dist + y.dist))
     return den, rows[: x.n], rows[x.n :]
 
 

@@ -131,12 +131,16 @@ def dumps_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def loads_space(text: str, location: str = "$") -> SpaceObject:
+def loads_doc(text: str, location: str = "$") -> Any:
+    """The decoded JSON document; a syntax error is a FormatError at ``location``."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(location, f"invalid JSON: {exc}")
-    return parse_space(doc, location)
+
+
+def loads_space(text: str, location: str = "$") -> SpaceObject:
+    return parse_space(loads_doc(text, location), location)
 
 
 def parse_metric_space(doc: Any, location: str = "$") -> FiniteMetricSpace:
@@ -225,9 +229,14 @@ def verify_gh_certificate(doc: dict) -> bool:
         return False
     if "correspondence" not in doc:
         return field("status") == "bounds-only"
-    corr = Correspondence.of(
-        [(int(i), int(j)) for i, j in doc["correspondence"]], x.n, y.n
-    )
+    pairs = doc["correspondence"]
+    if not isinstance(pairs, list):
+        raise FormatError("$.correspondence", "expected a list of index pairs")
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(i) is int for i in pair)):  # no bool, no float
+            raise FormatError(f"$.correspondence[{k}]", "expected a pair of integers")
+    corr = Correspondence.of(map(tuple, pairs), x.n, y.n)
     cert = distortion(corr, x, y)
     if cert.value != parse_scalar(field("distortion"), "$.distortion"):
         return False

