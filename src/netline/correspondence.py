@@ -85,7 +85,9 @@ class FiniteMetricSpace:
 
 def diam(x: FiniteMetricSpace) -> Fraction:
     """Largest distance; zero for the one-point space."""
-    return max(v for row in x.dist for v in row) if x.n > 1 else Fraction(0)
+    if x.line_coords is not None:
+        return x.line_coords.last - x.line_coords.first
+    return max(map(max, x.dist))
 
 
 def gh_to_point(x: FiniteMetricSpace) -> Fraction:
@@ -153,14 +155,6 @@ class Correspondence:
     @classmethod
     def of(cls, pairs: Iterable[Pair], n_left: int, n_right: int) -> "Correspondence":
         return cls(tuple(pairs), n_left, n_right)
-
-    @classmethod
-    def full(cls, n_left: int, n_right: int) -> "Correspondence":
-        return cls(
-            tuple((i, j) for i in range(n_left) for j in range(n_right)),
-            n_left,
-            n_right,
-        )
 
     @classmethod
     def nearest(cls, x: PointSet, y: PointSet) -> "Correspondence":

@@ -236,7 +236,10 @@ def verify_gh_certificate(doc: dict) -> bool:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(type(i) is int for i in pair)):  # no bool, no float
             raise FormatError(f"$.correspondence[{k}]", "expected a pair of integers")
-    corr = Correspondence.of(map(tuple, pairs), x.n, y.n)
+    try:
+        corr = Correspondence.of(map(tuple, pairs), x.n, y.n)
+    except ValueError as exc:
+        raise FormatError("$.correspondence", str(exc)) from None
     cert = distortion(corr, x, y)
     if cert.value != parse_scalar(field("distortion"), "$.distortion"):
         return False

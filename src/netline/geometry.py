@@ -100,9 +100,6 @@ class PointSet:
             return len(pts) - 1
         return k - 1 if x - pts[k - 1] <= pts[k] - x else k
 
-    def nearest(self, x: Fraction) -> Fraction:
-        return self.points[self.index_nearest(x)]
-
     def to_intervals(self) -> "IntervalUnion":
         return IntervalUnion(tuple((p, p) for p in self.points))
 

@@ -13,6 +13,9 @@ Two independent routes to the same minimum:
   larger distortion, so the restricted family attains the true minimum.
 
 Both report d_GH = (min distortion)/2 with the minimizing correspondence.
+They share one start, ``_start`` (int matrices, diameter lower bound and a
+seeded incumbent), and one search step, ``_reach``: the partial distortion
+once a pair joins the pairs chosen so far.
 
 Branch-and-bound also uses two polynomial bounds.  The profile lower bound
 (Memoli, "Some properties of Gromov-Hausdorff distances", 2012) compares
@@ -61,27 +64,20 @@ class GHResult:
                 raise InvariantError("exact value needs its optimal correspondence")
 
 
-def _int_diameters(dx: list[list[int]], dy: list[list[int]]) -> tuple[int, int]:
-    diam_x = max(v for row in dx for v in row)
-    diam_y = max(v for row in dy for v in row)
-    return diam_x, diam_y
+def _start(
+    x: FiniteMetricSpace, y: FiniteMetricSpace
+) -> tuple[int, list[list[int]], list[list[int]], int, int, Sequence[Pair]]:
+    """(den, dx, dy, |diam X - diam Y|, incumbent value, incumbent pairs).
 
-
-def _seed_incumbent(
-    x: FiniteMetricSpace,
-    y: FiniteMetricSpace,
-    dx: list[list[int]],
-    dy: list[list[int]],
-    full_val: int,
-) -> tuple[int, Sequence[Pair]]:
-    """Initial incumbent: the best of a few cheap correspondences.
-
-    The full relation always works, with distortion ``full_val`` (the larger
-    diameter); the nearest-point correspondence of two line-embedded spaces
-    and, for equal sizes, the identity-style ones are usually much tighter.
+    The incumbent is the best of the full relation, whose distortion is the
+    larger diameter, and cheap seeds that are usually much tighter: the
+    nearest-point correspondence of two line spaces and, for equal sizes,
+    the identity and the reversal.
     """
     n, m = x.n, y.n
-    best_val = full_val
+    den, dx, dy = scaled_int_matrices(x, y)
+    diam_x, diam_y = max(map(max, dx)), max(map(max, dy))
+    best_val = max(diam_x, diam_y)
     best_pairs: Sequence[Pair] = [(i, j) for i in range(n) for j in range(m)]
     seeds: list[Sequence[Pair]] = []
     if x.line_coords is not None and y.line_coords is not None:
@@ -94,7 +90,19 @@ def _seed_incumbent(
         if seed_val < best_val:
             best_val = seed_val
             best_pairs = seed
-    return best_val, best_pairs
+    return den, dx, dy, abs(diam_x - diam_y), best_val, best_pairs
+
+
+def _reach(cur: int, row_x: list[int], row_y: list[int], pairs: list[Pair]) -> int:
+    """Partial distortion once the pair with distance rows ``row_x``, ``row_y``
+    joins ``pairs``: max(cur, | row_x[i2] - row_y[j2] |) over (i2, j2) in them."""
+    for i2, j2 in pairs:
+        v = row_x[i2] - row_y[j2]
+        if v < 0:
+            v = -v
+        if v > cur:
+            cur = v
+    return cur
 
 
 def gh_exact(
@@ -112,17 +120,12 @@ def gh_exact(
             f"|X|*|Y| = {nm} exceeds the exhaustive limit {limit}; "
             "use gh_branch_bound"
         )
-    den, dx, dy = scaled_int_matrices(x, y)
-    diam_x, diam_y = _int_diameters(dx, dy)
-    lower_int = abs(diam_x - diam_y)
+    den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
 
-    # pair slot k encodes (i, j) = divmod(k, m)
-    table = [
-        [abs(dx[k // m][l // m] - dy[k % m][l % m]) for l in range(nm)]
-        for k in range(nm)
-    ]
-    rowbit = [1 << (k // m) for k in range(nm)]
-    colbit = [1 << (k % m) for k in range(nm)]
+    # pair slot k is (i, j) = divmod(k, m)
+    slots = [divmod(k, m) for k in range(nm)]
+    rowbit = [1 << i for i, _ in slots]
+    colbit = [1 << j for _, j in slots]
     suf_row = [0] * (nm + 1)
     suf_col = [0] * (nm + 1)
     for k in range(nm - 1, -1, -1):
@@ -131,35 +134,28 @@ def gh_exact(
     full_row = (1 << n) - 1
     full_col = (1 << m) - 1
 
-    best_val, best_pairs = _seed_incumbent(x, y, dx, dy, max(diam_x, diam_y))
-    best_slots = [i * m + j for i, j in best_pairs]
-
-    chosen: list[int] = []
+    chosen: list[Pair] = []
     nodes = 0
 
     def dfs(k: int, cur: int, rcov: int, ccov: int) -> None:
-        nonlocal nodes, best_val, best_slots
+        nonlocal nodes, best_val, best_pairs
         nodes += 1
-        if best_val == lower_int or cur >= best_val:
+        if best_val == lower_int:
             return
         if (rcov | suf_row[k]) != full_row or (ccov | suf_col[k]) != full_col:
             return
         if k == nm:
             best_val = cur
-            best_slots = chosen.copy()
+            best_pairs = chosen.copy()
             return
         dfs(k + 1, cur, rcov, ccov)  # without pair k
         if best_val == lower_int:
             return
-        nd = cur
-        row = table[k]
-        for p in chosen:
-            v = row[p]
-            if v > nd:
-                nd = v
+        i, j = slots[k]
+        nd = _reach(cur, dx[i], dy[j], chosen)
         if nd >= best_val:
             return
-        chosen.append(k)
+        chosen.append(slots[k])
         dfs(k + 1, nd, rcov | rowbit[k], ccov | colbit[k])
         chosen.pop()
 
@@ -167,8 +163,7 @@ def gh_exact(
         dfs(0, 0, 0, 0)
 
     exact = Fraction(best_val, 2 * den)
-    optimal = Correspondence.of([divmod(k, m) for k in best_slots], n, m)
-    return GHResult(exact, exact, exact, nodes, optimal)
+    return GHResult(exact, exact, exact, nodes, Correspondence.of(best_pairs, n, m))
 
 
 # not geometry._directed_sup on doubled rows: same costs, but 2.6x slower on the
@@ -298,8 +293,8 @@ def _best_staircase(
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
     """The larger of the diameter and profile lower bounds on d_GH."""
     den, dx, dy = scaled_int_matrices(x, y)
-    diam_x, diam_y = _int_diameters(dx, dy)
-    low = max(abs(diam_x - diam_y), _profile_bound(_profile_costs(dx, dy)))
+    diam_gap = abs(max(map(max, dx)) - max(map(max, dy)))
+    low = max(diam_gap, _profile_bound(_profile_costs(dx, dy)))
     return Fraction(low, 2 * den)
 
 
@@ -316,7 +311,7 @@ def staircase_bound(
         raise ValueError("staircase bounds need two line-embedded spaces")
     den, dx, dy = scaled_int_matrices(x, y)
     # every correspondence has distortion at most the larger diameter
-    cap = max(_int_diameters(dx, dy)) + 1
+    cap = max(map(max, dx + dy)) + 1
     # row 0 stands in for the coordinates: it only shifts every offset
     found = _best_staircase(dx[0], dy[0], cap)
     assert found is not None
@@ -329,14 +324,13 @@ def gh_branch_bound(
 ) -> GHResult:
     """Branch-and-bound over image assignments with certified bounds.
 
-    The incumbent starts as the best of the full relation (at most max
-    diam) and a few cheap correspondences; the lower bound is |diam X -
-    diam Y|.  While the gap is open, cheapest first, the profile bound
-    raises the lower bound and, for line spaces, the best staircase
-    correspondence replaces the incumbent when strictly better.  The search
-    stops as soon as the incumbent meets the lower bound, and skips every
-    candidate pair whose profile cost c(i, j) already reaches the
-    incumbent: no completion holding it can improve.
+    It starts from the seeded incumbent and diameter bound of ``_start``.
+    While the gap is open, cheapest first, the profile bound raises the
+    lower bound and, for line spaces, the best staircase correspondence
+    replaces the incumbent when strictly better.  The search stops as soon
+    as the incumbent meets the lower bound, and skips every candidate pair
+    whose profile cost c(i, j) already reaches the incumbent: no completion
+    holding it can improve.
 
     One recursive search walks a list of steps, each fixing one index of the
     next pair: first every X row in decreasing eccentricity, then, once
@@ -349,11 +343,7 @@ def gh_branch_bound(
     the incumbent above and the diameter or profile bound below.
     """
     n, m = x.n, y.n
-    den, dx, dy = scaled_int_matrices(x, y)
-    diam_x, diam_y = _int_diameters(dx, dy)
-    lower_int = abs(diam_x - diam_y)
-
-    best_val, best_pairs = _seed_incumbent(x, y, dx, dy, max(diam_x, diam_y))
+    den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
 
     # cheapest first: each bound is computed only while the gap is open
     costs: list[list[int]] = []
@@ -372,25 +362,13 @@ def gh_branch_bound(
     nodes = 0
     truncated = False
 
-    def delta_with(i: int, j: int, cur: int) -> int:
-        nd = cur
-        row_x = dx[i]
-        row_y = dy[j]
-        for i2, j2 in asg:
-            v = row_x[i2] - row_y[j2]
-            if v < 0:
-                v = -v
-            if v > nd:
-                nd = v
-        return nd
-
     def search(k: int, cur: int) -> None:
         nonlocal nodes, truncated, best_val, best_pairs
         nodes += 1
         if budget is not None and nodes > budget:
             truncated = True
             return
-        if best_val == lower_int or cur >= best_val:
+        if best_val == lower_int:
             return
         if k == len(steps):
             best_val = cur
@@ -403,7 +381,7 @@ def gh_branch_bound(
             search(k + 1, cur)
             return
         cands = sorted(
-            (delta_with(i, j, cur), i, j) for i, j, c in step if c < best_val
+            (_reach(cur, dx[i], dy[j], asg), i, j) for i, j, c in step if c < best_val
         )
         for nd, i, j in cands:
             if nd >= best_val:

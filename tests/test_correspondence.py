@@ -93,6 +93,17 @@ def test_diam_examples():
     assert diam(line(0, 4, 10)) == 10
 
 
+def test_line_diam_matches_its_matrix():
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        coords = sorted({F(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(n)})
+        x = line(*coords)
+        assert diam(x) == diam(FiniteMetricSpace.from_matrix(x.dist))
+        if len(coords) == 1:
+            assert diam(x) == 0
+
+
 def test_gh_to_point_matches_solver():
     assert gh_to_point(line(0, 1)) == F(1, 2)
     assert gh_to_point(FiniteMetricSpace.singleton()) == 0

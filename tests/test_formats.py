@@ -179,6 +179,22 @@ def test_certificate_correspondence_indices_must_be_int_pairs(pairs, location):
     assert exc.value.location == location
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([[0, 4], [1, 4], [2, 2], [2, 3], [3, 0], [3, 1], [9, 0]], "pair index out of range"),
+    ([[0, 4], [1, 4], [2, 2], [2, 3], [3, 0], [3, 1], [-1, 0]],
+     "indices must be nonnegative"),
+    ([], "a relation needs at least one pair"),
+    ([[0, 4], [1, 4], [2, 2], [2, 3], [3, 0]], "right projection is not surjective"),
+], ids=["extra-9-0", "extra-minus-1-0", "empty", "dropped-3-1"])
+def test_certificate_non_correspondence_is_a_located_format_error(pairs, message):
+    golden = Path(__file__).parent / "golden" / "dist-gh-line.cert.json"
+    doc = json.loads(golden.read_text(encoding="utf-8"))
+    with pytest.raises(FormatError) as exc:
+        verify_gh_certificate(dict(doc, correspondence=pairs))
+    assert exc.value.location == "$.correspondence"
+    assert str(exc.value) == f"$.correspondence: {message}"
+
+
 def test_gh_certificate_missing_field_is_a_format_error():
     x = FiniteMetricSpace.from_line(PointSet.of([0, 1]))
     y = FiniteMetricSpace.from_line(PointSet.of([0, 2]))
