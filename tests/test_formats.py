@@ -159,7 +159,7 @@ def test_forged_gh_certificate_is_refused():
 def test_golden_gh_certificates_verify():
     golden = Path(__file__).parent / "golden"
     certs = sorted(golden.glob("*.cert.json"))
-    assert len(certs) == 7
+    assert len(certs) == 9
     for path in certs:
         assert verify_gh_certificate(json.loads(path.read_text(encoding="utf-8")))
 

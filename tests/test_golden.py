@@ -53,6 +53,19 @@ INPUTS = {
         ["0", "3", "7/2", "5/2", "7/2", "4"], ["3", "0", "2", "4", "5/2", "2"],
         ["7/2", "2", "0", "5/2", "7/2", "3"], ["5/2", "4", "5/2", "0", "5/2", "7/2"],
         ["7/2", "5/2", "7/2", "5/2", "0", "5/2"], ["4", "2", "3", "7/2", "5/2", "0"]]},
+    # the largest gh-solve size: d closes at budget 1000, e stays open
+    "d1.json": {"kind": "points", "coords": [
+        "2", "3", "4", "7", "13", "15", "16", "22", "24", "25", "28", "30", "31",
+        "34", "35", "39"]},
+    "d2.json": {"kind": "points", "coords": [
+        "0", "1", "2", "3", "4", "12", "13", "17", "18", "22", "25", "26", "31",
+        "36", "37", "38"]},
+    "e1.json": {"kind": "points", "coords": [
+        "2", "5", "6", "8", "16", "18", "20", "21", "26", "28", "31", "33", "34",
+        "36", "38", "39"]},
+    "e2.json": {"kind": "points", "coords": [
+        "1", "2", "4", "7", "11", "13", "18", "19", "20", "26", "27", "30", "31",
+        "34", "38", "39"]},
     # unnormalised and mixed scalar forms, in increasing order
     "pu.json": {"kind": "points", "coords": [
         "-7/14", "-0", "6/4", "2.50", "007", "1e1"]},
@@ -91,6 +104,13 @@ CASES = [
                                      "branch-bound", "--budget", "700",
                                      "--certificate", "bmt.cert.json"],
      "bmt.cert.json"),
+    ("dist-gh-bb-16", ["dist-gh", "d1.json", "d2.json", "--method",
+                       "branch-bound", "--budget", "1000", "--certificate",
+                       "b16.cert.json"], "b16.cert.json"),
+    ("dist-gh-bb-16-truncated", ["dist-gh", "e1.json", "e2.json", "--method",
+                                 "branch-bound", "--budget", "1000",
+                                 "--certificate", "t16.cert.json"],
+     "t16.cert.json"),
     ("trace", ["trace", "net.json", "--window", "w10.json",
                "--grid", "0,1/8,1/3,1/2,3/4,1,1"], None),
     ("contract", ["contract", "net.json", "--lam", "1/3", "--window", "w10.json"],
