@@ -28,7 +28,14 @@ from netline.harness import (
     random_scalar,
 )
 from netline.correspondence import int_distortion, scaled_int_matrices
-from netline.solver import GHResult, gh_lower_bound, staircase_bound
+from netline.solver import (
+    GHResult,
+    _directed_sorted,
+    _profile_costs,
+    _reach,
+    gh_lower_bound,
+    staircase_bound,
+)
 
 
 def line(*coords) -> FiniteMetricSpace:
@@ -284,3 +291,71 @@ def test_staircase_needs_line_spaces():
     band = FiniteMetricSpace.from_matrix([[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="line"):
         staircase_bound(band, line(0, 1))
+
+
+# The capped kernels: the search only ever asks "value < incumbent", so each
+# scan may stop once it reaches the cap.  Caps run below, at and above the
+# true values; the references below scan in full.
+
+
+def caps_around(values, rng):
+    """0, every value and its neighbours, and a random cap past them all."""
+    caps = {0, max(values) + 1, rng.randint(0, 2 * max(values) + 2)}
+    for v in values:
+        caps.update((v - 1, v, v + 1))
+    return sorted(c for c in caps if c >= 0)
+
+
+def directed(a, b):
+    return max(min(abs(v - w) for w in b) for v in a)
+
+
+def random_row(rng, hi):
+    return sorted({rng.randint(0, hi) for _ in range(rng.randint(1, 8))})
+
+
+def random_int_metric(rng, n, hi):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rng.randint(1, hi)
+    return rows
+
+
+def test_directed_sorted_is_min_of_full_value_and_cap():
+    rng = random.Random(41)
+    for _ in range(400):
+        a, b = random_row(rng, 30), random_row(rng, 30)
+        full = directed(a, b)
+        for cap in caps_around([full], rng):
+            assert _directed_sorted(a, b, cap) == min(full, cap)
+
+
+def test_profile_costs_are_elementwise_capped():
+    rng = random.Random(42)
+    for _ in range(100):
+        dx = random_int_metric(rng, rng.randint(1, 6), 20)
+        dy = random_int_metric(rng, rng.randint(1, 6), 20)
+        full = [[max(directed(rx, ry), directed(ry, rx)) for ry in dy] for rx in dx]
+        for cap in caps_around([c for row in full for c in row], rng):
+            assert _profile_costs(dx, dy, cap) == [
+                [min(c, cap) for c in row] for row in full
+            ]
+
+
+def test_reach_is_exact_below_cap_and_at_least_cap_otherwise():
+    rng = random.Random(43)
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        row_x = [rng.randint(0, 20) for _ in range(n)]
+        row_y = [rng.randint(0, 20) for _ in range(m)]
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        pairs = rng.sample(cells, rng.randint(0, len(cells)))
+        cur = rng.randint(0, 10)
+        full = max([cur] + [abs(row_x[i] - row_y[j]) for i, j in pairs])
+        for cap in caps_around([full], rng):
+            got = _reach(cur, row_x, row_y, pairs, cap)
+            if full < cap:
+                assert got == full
+            else:
+                assert cap <= got <= full
