@@ -330,7 +330,7 @@ def _check_bounded_cloud(tally, x, y):
 def _draw_gh_bounds(rng, cfg, index):
     """The solver's polynomial bounds bracket the exact GH distance.
 
-    The profile lower bound never exceeds ``gh_exact``; for two line spaces
+    The refinement lower bound never exceeds ``gh_exact``; for two line spaces
     the staircase upper bound never falls below it, and its correspondence
     has exactly the distortion the staircase DP reports.
     """
@@ -343,7 +343,7 @@ def _check_gh_bounds(tally, x, y):
     low = gh_lower_bound(x, y)
     tally["lower tight"] += low == value
     if low > value:
-        return f"profile bound {low} exceeds d_GH {value}"
+        return f"refinement bound {low} exceeds d_GH {value}"
     if x.line_coords is None or y.line_coords is None:
         return None
     tally["line pairs"] += 1

@@ -16,25 +16,24 @@ Both report d_GH = (min distortion)/2 with the minimizing correspondence.
 They share one start, ``_start`` (int matrices, diameter lower bound and a
 seeded incumbent), and one search step: the partial distortion once a pair
 joins the pairs chosen so far, ``_reach`` in ``gh_exact`` and inlined in the
-candidate scan of ``gh_branch_bound``.  Each partial distortion and profile
-cost is only ever compared with the incumbent ("value < incumbent"), so
-every such scan stops as soon as its value reaches the incumbent: a capped
-value prunes exactly as the full one would, and results and node counts do
-not depend on where a scan stops.
+candidate scan of ``gh_branch_bound``.  A partial distortion is only ever
+compared with the incumbent, so each scan stops at the first value that
+reaches it: a capped value prunes exactly as the full one would, and
+results and node counts do not depend on where a scan stops.
 
-Branch-and-bound also uses two polynomial bounds.  The profile lower bound
-(Memoli, "Some properties of Gromov-Hausdorff distances", 2012) compares
-the distance rows of x and y: c(x, y), their Hausdorff distance, is at most
-dis R whenever (x, y) lies in R, so 2 d_GH >= max(max_x min_y c,
-max_y min_x c) on any finite metric.  Capping every c at the incumbent
-leaves this bound unchanged, because each row and column minimum is at
-most the least distortion.  The staircase upper bound, for line spaces, is
-the best monotone correspondence; its distortion is the range of the
-offsets x_i - y_j along a lattice path, minimised by a bottleneck DP.
+Branch-and-bound also uses two polynomial tools.  The staircase upper
+bound, for line spaces, is the best monotone correspondence, found by a
+bottleneck DP.  Refinement at a threshold t (Ullmann's 1976 refinement for
+subgraph isomorphism, applied to correspondences) deletes every cell that
+no correspondence of distortion below t can hold; an emptied row proves
+the least distortion is at least t.  Its first pass keeps exactly the cells
+whose distance rows lie at Hausdorff distance below t (the profile filter
+of Memoli, 2012), so it subsumes the profile lower bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -179,57 +178,71 @@ def gh_exact(
     return GHResult(exact, exact, exact, nodes, Correspondence.of(best_pairs, n, m))
 
 
-# not geometry._directed_sup on doubled rows: same costs, but 2.6x slower on the
-# 162-instance quality set (0.37 s against 0.14 s, 2-core Xeon, Python 3.11)
-def _directed_sorted(a: list[int], b: list[int], cap: int) -> int:
-    """min(cap, largest distance from a value of ``a`` to its nearest value of
-    ``b``); both ascending and nonempty, merged with two pointers, stopping
-    at the first distance that reaches ``cap``."""
-    worst = 0
-    k = 0
-    last = len(b) - 1
-    for v in a:
-        while k < last and b[k + 1] <= v:
-            k += 1
-        d = v - b[k] if v >= b[k] else b[k] - v
-        if k < last and b[k + 1] - v < d:
-            d = b[k + 1] - v
-        if d > worst:
-            if d >= cap:
-                return cap
-            worst = d
-    return worst
+def _refine(dx: list[list[int]], dy: list[list[int]], t: int) -> list[int] | None:
+    """Live columns of each X row after refinement at ``t``; None once a
+    row empties, which proves that no correspondence has distortion < t.
 
-
-def _profile_costs(
-    dx: list[list[int]], dy: list[list[int]], cap: int
-) -> list[list[int]]:
-    """c[i][j]: Hausdorff distance between the distance rows of i and j,
-    capped at ``cap``.
-
-    If (i, j) lies in a correspondence R, every x' has a partner y' with
-    | d(x_i, x') - d(y_j, y') | <= dis R, and symmetrically, so
-    c[i][j] <= dis R.
+    A cell (i, j) stays live while every row i2 has a live (i2, j2) with
+    | dx[i][i2] - dy[j][j2] | < t and those j2 cover every column, as each
+    cell of such a correspondence does.  The fixpoint is the greatest one
+    whatever the order, so refutation is monotone in ``t``.
     """
-    rows_y = [sorted(set(row)) for row in dy]
-    costs = []
-    for row in dx:
-        a = sorted(set(row))
-        costs.append(
-            [max(_directed_sorted(a, b, cap), _directed_sorted(b, a, cap))
-             for b in rows_y]
-        )
-    return costs
+    n, m = len(dx), len(dy)
+    full = (1 << m) - 1
+    values = {a for row in dx for a in row}
+    # near[j][a]: columns j2 with | a - dy[j][j2] | < t, as two prefix-ORs
+    near = []
+    for row in dy:
+        order = sorted(range(m), key=row.__getitem__)
+        keys = [row[j] for j in order]
+        prefix = [0]
+        for j in order:
+            prefix.append(prefix[-1] | 1 << j)
+        near.append({a: prefix[bisect_left(keys, a + t)]
+                     & ~prefix[bisect_right(keys, a - t)] for a in values})
+    live = [full] * n
+    changed = True
+    while changed:
+        changed = False
+        for i, row_x in enumerate(dx):
+            keep = live[i]
+            for j in range(m):
+                if not keep >> j & 1:
+                    continue
+                near_j = near[j]
+                cover = 0
+                for i2, a in enumerate(row_x):
+                    s = live[i2] & near_j[a]
+                    if not s:
+                        break
+                    cover |= s
+                else:
+                    if cover == full:
+                        continue
+                keep &= ~(1 << j)
+            if keep != live[i]:
+                if not keep:
+                    return None
+                live[i] = keep
+                changed = True
+    return live
 
 
-def _profile_bound(costs: list[list[int]]) -> int:
-    """Lower bound on the minimum distortion: R covers every row and every
-    column, so it holds some (i, j) with c[i][j] at least the row (column)
-    minimum."""
-    return max(
-        max(min(row) for row in costs),
-        max(min(col) for col in zip(*costs)),
-    )
+def _refined_bound(dx: list[list[int]], dy: list[list[int]], lo: int, hi: int) -> int:
+    """Largest t in (lo, hi) at which refinement refutes, else ``lo``: a
+    lower bound on the least distortion.  Every distortion is some
+    | a - b | with a in dx and b in dy, so bisection runs over those.
+    """
+    vx, vy = ({v for row in d for v in row} for d in (dx, dy))
+    gaps = sorted(g for g in {abs(a - b) for a in vx for b in vy} if lo < g < hi)
+    k, end = 0, len(gaps)  # refutation is monotone: gaps[:k] refute, gaps[end:] not
+    while k < end:
+        mid = (k + end) // 2
+        if _refine(dx, dy, gaps[mid]) is None:
+            k = mid + 1
+        else:
+            end = mid
+    return gaps[k - 1] if k else lo
 
 
 def _staircase(
@@ -243,7 +256,11 @@ def _staircase(
     range of its offsets.  For each candidate minimum offset ``lo``, taken
     downward, a bottleneck DP finds the least maximum offset over paths
     whose offsets all lie in [lo, lo + cap); the scan stops once the path
-    ends alone span ``cap``.  Returns (distortion, path).
+    ends alone span ``cap``.  Returns (distortion, path).  Half the lesser
+    of the increasing and decreasing values is d_H,iso, the Hausdorff
+    distance under translation and reflection, and d_GH <= d_H,iso <=
+    (5/4) d_GH on the line (Majhi, Vitter and Wenk, arXiv:1912.13008); the
+    two have agreed on every line pair tried.
     """
     n, m = len(xs), len(ys)
     off = [[a - b for b in ys] for a in xs]
@@ -311,13 +328,10 @@ def _best_staircase(
 
 
 def gh_lower_bound(x: FiniteMetricSpace, y: FiniteMetricSpace) -> Fraction:
-    """The larger of the diameter and profile lower bounds on d_GH."""
-    den, dx, dy = scaled_int_matrices(x, y)
-    diam_gap = abs(max(map(max, dx)) - max(map(max, dy)))
-    # a cap above every entry leaves each cost uncapped
-    cap = max(map(max, dx + dy)) + 1
-    low = max(diam_gap, _profile_bound(_profile_costs(dx, dy, cap)))
-    return Fraction(low, 2 * den)
+    """The diameter lower bound on d_GH, raised by bisected refinement up
+    to the seeded incumbent, above which refinement never refutes."""
+    den, dx, dy, diam_gap, best_val, _ = _start(x, y)
+    return Fraction(_refined_bound(dx, dy, diam_gap, best_val + 1), 2 * den)
 
 
 def staircase_bound(
@@ -347,33 +361,23 @@ def gh_branch_bound(
     """Branch-and-bound over image assignments with certified bounds.
 
     It starts from the seeded incumbent and diameter bound of ``_start``.
-    While the gap is open, cheapest first, the profile bound raises the
-    lower bound and, for line spaces, the best staircase correspondence
-    replaces the incumbent when strictly better.  The search stops as soon
-    as the incumbent meets the lower bound, and skips every candidate pair
-    whose profile cost c(i, j) already reaches the incumbent: no completion
-    holding it can improve.
+    While the gap is open, the best staircase of two line spaces replaces
+    the incumbent when strictly better, and refinement at the incumbent
+    either proves it optimal, with no node, or leaves the live cells.
 
     One recursive search walks a list of steps, each fixing one index of the
     next pair: first every X row in decreasing eccentricity, then, once
     every row has an image, one step per still-uncovered Y column.  A step
-    tries its candidate pairs in increasing partial distortion, ties to the
-    smallest index; a pair whose partial distortion reaches the incumbent is
-    dropped at the first term that reaches it.  Each call is one node, the
-    switch from rows to columns included.
-
-    When ``budget`` nodes are exhausted the search degrades to bounds only:
-    the incumbent above and the diameter or profile bound below.
+    tries its live cells in increasing partial distortion, ties to the
+    smallest index, and drops a cell at the first term that reaches the
+    incumbent.  Each call is one node, the switch from rows to columns
+    included.  When ``budget`` nodes are exhausted the result is bounds
+    only, the bisected refinement bound below the incumbent, unless that
+    bound meets it.
     """
     n, m = x.n, y.n
     den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
 
-    # cheapest first: each bound is computed only while the gap is open
-    costs: list[list[int]] = []
-    if best_val > lower_int:
-        # capped at the incumbent, which leaves the profile bound unchanged
-        costs = _profile_costs(dx, dy, best_val)
-        lower_int = max(lower_int, _profile_bound(costs))
     if best_val > lower_int and x.line_coords is not None and y.line_coords is not None:
         # row 0 stands in for the coordinates: it only shifts every offset
         found = _best_staircase(dx[0], dy[0], best_val)
@@ -381,6 +385,9 @@ def gh_branch_bound(
             stair_val, _ = int_distortion(found[1], dx, dy)
             if stair_val < best_val:
                 best_val, best_pairs = stair_val, found[1]
+    live = _refine(dx, dy, best_val) if best_val > lower_int else None
+    if live is None:
+        lower_int = best_val
 
     asg: list[Pair] = []
     nodes = 0
@@ -404,14 +411,10 @@ def gh_branch_bound(
             steps[k + 1:] = [cols[j] for j in range(m) if j not in covered]
             search(k + 1, cur)
             return
-        # _reach inlined (a call per cell took 1.33-1.54 s against 1.16-1.40 s
-        # on the 567 quality and seed-1 gh-solve instances, 2-core Xeon), so a
-        # cell is dropped at the first term that reaches the incumbent and
-        # cands holds live cells only
+        # _reach inlined: a call per cell took 1.33-1.54 s against 1.16-1.40 s
+        # on the 567 quality and seed-1 gh-solve instances (2-core Xeon)
         cands = []
-        for i, j, c in step:
-            if c >= best_val:
-                continue
+        for i, j in step:
             row_x, row_y = dx[i], dy[j]
             nd = cur
             for i2, j2 in asg:
@@ -428,26 +431,23 @@ def gh_branch_bound(
         for nd, i, j in cands:
             if nd >= best_val:
                 break
-            if costs[i][j] >= best_val:
-                continue
             asg.append((i, j))
             search(k + 1, nd)
             asg.pop()
             if truncated:
                 return
 
-    if best_val > lower_int:
-        # a step lists the cells (i, j, c(i, j)) of one X row or, after the
+    if live is not None:
+        # a step lists the live cells (i, j) of one X row or, after the
         # switch marked None, of one uncovered Y column
-        cells = [[(i, j, c) for j, c in enumerate(row)] for i, row in enumerate(costs)]
         order = sorted(range(n), key=lambda i: (-max(dx[i]), i))
-        steps = [cells[i] for i in order] + [None]
-        cols = list(zip(*cells))
+        steps = [[(i, j) for j in range(m) if live[i] >> j & 1] for i in order] + [None]
+        cols = [[(i, j) for i in range(n) if live[i] >> j & 1] for j in range(m)]
         search(0, 0)
 
-    witness = Correspondence.of(best_pairs, n, m)
+    # the search may have lowered the incumbent to a value refinement refutes
+    low = _refined_bound(dx, dy, lower_int, best_val + 1) if truncated else best_val
     upper = Fraction(best_val, 2 * den)
-    if truncated:
-        lower = Fraction(lower_int, 2 * den)
-        return GHResult(lower, upper, None, nodes, witness)
-    return GHResult(upper, upper, upper, nodes, witness)
+    exact = upper if low == best_val else None
+    witness = Correspondence.of(best_pairs, n, m)
+    return GHResult(Fraction(low, 2 * den), upper, exact, nodes, witness)

@@ -62,20 +62,24 @@ def test_dist_gh_exact_with_certificate(spaces, tmp_path, capsys):
 
 
 def test_dist_gh_bounds_only_still_exits_zero(tmp_path, capsys):
-    # a 14-point pair whose search is still open after 5000 nodes
+    # a 5x6 matrix pair whose search is still open after 700 nodes
     x = write(
         tmp_path / "bx.json",
-        {"kind": "points", "coords": [
-            "0", "3", "4", "6", "7", "8", "15", "16", "24", "25", "28", "30",
-            "31", "36"]},
+        {"kind": "matrix", "dist": [
+            ["0", "4", "3", "3", "4"], ["4", "0", "2", "7/2", "5/2"],
+            ["3", "2", "0", "2", "5/2"], ["3", "7/2", "2", "0", "2"],
+            ["4", "5/2", "5/2", "2", "0"]]},
     )
     y = write(
         tmp_path / "by.json",
-        {"kind": "points", "coords": [
-            "0", "1", "6", "14", "17", "20", "24", "27", "28", "29", "30", "32",
-            "35", "37"]},
+        {"kind": "matrix", "dist": [
+            ["0", "3", "7/2", "5/2", "7/2", "4"], ["3", "0", "2", "4", "5/2", "2"],
+            ["7/2", "2", "0", "5/2", "7/2", "3"],
+            ["5/2", "4", "5/2", "0", "5/2", "7/2"],
+            ["7/2", "5/2", "7/2", "5/2", "0", "5/2"],
+            ["4", "2", "3", "7/2", "5/2", "0"]]},
     )
-    code = main(["dist-gh", x, y, "--method", "branch-bound", "--budget", "5000"])
+    code = main(["dist-gh", x, y, "--method", "branch-bound", "--budget", "700"])
     assert code == 0
     out = capsys.readouterr().out
     assert "bounds-only" in out

@@ -121,14 +121,19 @@ def test_gh_certificate_roundtrip_exact():
 
 
 def test_gh_certificate_bounds_only():
-    # a 14-point pair whose search is still open after 5000 nodes
-    x = FiniteMetricSpace.from_line(
-        PointSet.of([0, 3, 4, 6, 7, 8, 15, 16, 24, 25, 28, 30, 31, 36])
+    # a 5x6 matrix pair whose search is still open after 700 nodes
+    x = FiniteMetricSpace.from_matrix(
+        [[0, 4, 3, 3, 4], [4, 0, 2, F(7, 2), F(5, 2)], [3, 2, 0, 2, F(5, 2)],
+         [3, F(7, 2), 2, 0, 2], [4, F(5, 2), F(5, 2), 2, 0]]
     )
-    y = FiniteMetricSpace.from_line(
-        PointSet.of([0, 1, 6, 14, 17, 20, 24, 27, 28, 29, 30, 32, 35, 37])
+    y = FiniteMetricSpace.from_matrix(
+        [[0, 3, F(7, 2), F(5, 2), F(7, 2), 4], [3, 0, 2, 4, F(5, 2), 2],
+         [F(7, 2), 2, 0, F(5, 2), F(7, 2), 3],
+         [F(5, 2), 4, F(5, 2), 0, F(5, 2), F(7, 2)],
+         [F(7, 2), F(5, 2), F(7, 2), F(5, 2), 0, F(5, 2)],
+         [4, 2, 3, F(7, 2), F(5, 2), 0]]
     )
-    res = gh_branch_bound(x, y, budget=5000)
+    res = gh_branch_bound(x, y, budget=700)
     assert res.exact is None
     doc = gh_certificate_doc(res, x, y)
     assert doc["status"] == "bounds-only"

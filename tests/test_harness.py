@@ -76,7 +76,7 @@ def test_gh_bounds_suite_passes_and_serialises_failures(monkeypatch):
     assert len(rep.failures) == 20
     doc = json.loads(rep.failures[0].instance)
     assert set(doc) == {"x", "y"}
-    assert "profile bound" in rep.failures[0].detail
+    assert "refinement bound" in rep.failures[0].detail
 
 
 def test_shrinking_reaches_a_minimal_culprit():

@@ -30,9 +30,8 @@ from netline.harness import (
 from netline.correspondence import int_distortion, scaled_int_matrices
 from netline.solver import (
     GHResult,
-    _directed_sorted,
-    _profile_costs,
     _reach,
+    _refine,
     gh_lower_bound,
     staircase_bound,
 )
@@ -129,11 +128,18 @@ def test_branch_bound_known_values():
     assert gh_branch_bound(x4, y3).exact == gh_exact(x4, y3).exact
 
 
+# a 5x6 matrix pair whose search is still open after 700 nodes; it closes
+# at 1014
+BX = [[0, 4, 3, 3, 4], [4, 0, 2, F(7, 2), F(5, 2)], [3, 2, 0, 2, F(5, 2)],
+      [3, F(7, 2), 2, 0, 2], [4, F(5, 2), F(5, 2), 2, 0]]
+BY = [[0, 3, F(7, 2), F(5, 2), F(7, 2), 4], [3, 0, 2, 4, F(5, 2), 2],
+      [F(7, 2), 2, 0, F(5, 2), F(7, 2), 3], [F(5, 2), 4, F(5, 2), 0, F(5, 2), F(7, 2)],
+      [F(7, 2), F(5, 2), F(7, 2), F(5, 2), 0, F(5, 2)], [4, 2, 3, F(7, 2), F(5, 2), 0]]
+
+
 def test_budget_exhaustion_certified_bounds():
-    # a 14-point pair whose search is still open after 5000 nodes
-    x = line(0, 3, 4, 6, 7, 8, 15, 16, 24, 25, 28, 30, 31, 36)
-    y = line(0, 1, 6, 14, 17, 20, 24, 27, 28, 29, 30, 32, 35, 37)
-    res = gh_branch_bound(x, y, budget=5000)
+    x, y = FiniteMetricSpace.from_matrix(BX), FiniteMetricSpace.from_matrix(BY)
+    res = gh_branch_bound(x, y, budget=700)
     assert res.exact is None
     full = gh_branch_bound(x, y)
     assert abs(diam(x) - diam(y)) / 2 <= res.lower <= full.exact <= res.upper
@@ -260,10 +266,25 @@ def test_polynomial_bounds_bracket_exact_on_line_pairs():
             assert staircase_bound(x, moved[1]) == (high, corr)
 
 
+def directed(a, b):
+    return max(min(abs(v - w) for w in b) for v in a)
+
+
+def profile_bound(dx, dy):
+    """Memoli's profile bound on the least distortion, in full: a
+    correspondence holding (i, j) has distortion at least the Hausdorff
+    distance c(i, j) of the two distance rows, and it covers every row and
+    every column."""
+    c = [[max(directed(rx, ry), directed(ry, rx)) for ry in dy] for rx in dx]
+    return max(max(min(row) for row in c), max(min(col) for col in zip(*c)))
+
+
 def test_profile_bound_below_exact_on_matrix_pairs():
     for x, y in random_pairs(30, 300, "matrix"):
         exact = gh_exact(x, y).exact
-        assert abs(diam(x) - diam(y)) / 2 <= gh_lower_bound(x, y) <= exact
+        den, dx, dy = scaled_int_matrices(x, y)
+        profile = F(profile_bound(dx, dy), 2 * den)
+        assert abs(diam(x) - diam(y)) / 2 <= profile <= gh_lower_bound(x, y) <= exact
         assert gh_branch_bound(x, y).exact == exact
 
 
@@ -279,12 +300,44 @@ def test_budgeted_bounds_bracket_exact():
 
 
 def test_profile_bound_two_point_example():
-    # rows {0, 1} and {0, 3} lie at Hausdorff distance c = 2, so every
-    # correspondence has distortion at least 2 and d_GH >= 1
+    # rows {0, 1} and {0, 3} lie at Hausdorff distance c = 2, so every cell
+    # dies in refinement's first pass at 2 and d_GH >= 1
     x, y = line(0, 1), line(0, 3)
     res = gh_branch_bound(x, y, budget=0)
     assert gh_lower_bound(x, y) == 1
     assert res.lower == 1 == gh_exact(x, y).exact
+
+
+def test_refinement_is_sound_and_monotone():
+    for kind in ("line", "matrix"):
+        for x, y in random_pairs(44, 120, kind):
+            den, dx, dy = scaled_int_matrices(x, y)
+            least = 2 * den * gh_exact(x, y).exact
+            # the optimal correspondence survives one unit above its distortion
+            assert _refine(dx, dy, least + 1) is not None
+            low = 2 * den * gh_lower_bound(x, y)
+            assert max(abs(max(map(max, dx)) - max(map(max, dy))),
+                       profile_bound(dx, dy)) <= low <= least
+            # live cells only grow with the threshold
+            gaps = {abs(a - b) for rx in dx for a in rx for ry in dy for b in ry}
+            prev = None
+            for t in sorted(gaps | {g + 1 for g in gaps}):
+                live = _refine(dx, dy, t)
+                if prev is not None:
+                    assert live is not None
+                    assert all(a & ~b == 0 for a, b in zip(prev, live))
+                prev = live
+
+
+def test_refinement_closes_a_pair_the_search_left_open():
+    # this 14-point pair took 21,065 nodes to close by search alone, and
+    # was still open at budget 5000; refinement proves the staircase optimal
+    x = line(0, 3, 4, 6, 7, 8, 15, 16, 24, 25, 28, 30, 31, 36)
+    y = line(0, 1, 6, 14, 17, 20, 24, 27, 28, 29, 30, 32, 35, 37)
+    res = gh_branch_bound(x, y, budget=0)
+    assert res.exact == F(5, 2) and res.nodes_explored == 0
+    assert gh_lower_bound(x, y) == F(5, 2)
+    assert distortion(res.upper_witness, x, y).value == 5
 
 
 def test_staircase_needs_line_spaces():
@@ -293,7 +346,7 @@ def test_staircase_needs_line_spaces():
         staircase_bound(band, line(0, 1))
 
 
-# The capped kernels: the search only ever asks "value < incumbent", so each
+# The capped scan: the search only ever asks "value < incumbent", so each
 # scan may stop once it reaches the cap.  Caps run below, at and above the
 # true values; the references below scan in full.
 
@@ -304,43 +357,6 @@ def caps_around(values, rng):
     for v in values:
         caps.update((v - 1, v, v + 1))
     return sorted(c for c in caps if c >= 0)
-
-
-def directed(a, b):
-    return max(min(abs(v - w) for w in b) for v in a)
-
-
-def random_row(rng, hi):
-    return sorted({rng.randint(0, hi) for _ in range(rng.randint(1, 8))})
-
-
-def random_int_metric(rng, n, hi):
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows[i][j] = rows[j][i] = rng.randint(1, hi)
-    return rows
-
-
-def test_directed_sorted_is_min_of_full_value_and_cap():
-    rng = random.Random(41)
-    for _ in range(400):
-        a, b = random_row(rng, 30), random_row(rng, 30)
-        full = directed(a, b)
-        for cap in caps_around([full], rng):
-            assert _directed_sorted(a, b, cap) == min(full, cap)
-
-
-def test_profile_costs_are_elementwise_capped():
-    rng = random.Random(42)
-    for _ in range(100):
-        dx = random_int_metric(rng, rng.randint(1, 6), 20)
-        dy = random_int_metric(rng, rng.randint(1, 6), 20)
-        full = [[max(directed(rx, ry), directed(ry, rx)) for ry in dy] for rx in dx]
-        for cap in caps_around([c for row in full for c in row], rng):
-            assert _profile_costs(dx, dy, cap) == [
-                [min(c, cap) for c in row] for row in full
-            ]
 
 
 def test_reach_is_exact_below_cap_and_at_least_cap_otherwise():
