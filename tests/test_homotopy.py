@@ -286,3 +286,11 @@ def test_deformation_checks_reject_sets_outside_the_window():
         stability_in_space(inside, outside, 1, w)
     with pytest.raises(ValueError, match="both parameters"):
         continuity_in_lambda(outside, 0, 1, w)
+    # invalid twice over: the first parameter is checked, then the window,
+    # then the rest of the grid
+    with pytest.raises(ValueError, match=message):
+        trace(outside, w, [0, 2])
+    with pytest.raises(ValueError, match="lam must lie in"):
+        trace(outside, w, [2])
+    with pytest.raises(ValueError, match="lam must lie in"):
+        contract(outside, -1, w)
