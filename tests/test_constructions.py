@@ -184,6 +184,19 @@ def test_extension_shift_ties_to_the_smaller_sample():
     )
 
 
+def test_extension_shifts_by_the_smallest_image():
+    # 2 has the images 2 and 131/64: the uncovered sample 39/20 shifts by the
+    # smaller one and stays put, where the larger would carry it to 2
+    x, xn = PointSet.of([2]), PointSet.of([2, F(131, 64)])
+    r = Correspondence.of([(0, 0), (0, 1)], 1, 2)
+    res = extend_correspondence(r, x, xn, F(4, 9), F(1, 4))
+    assert res.left.line_coords.points[3:5] == (F(39, 20), 2)
+    assert res.right.line_coords.points[3:5] == (F(39, 20), 2)
+    assert res.correspondence.pairs == (
+        (0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)
+    )
+
+
 # ---------------------------------------------------------------------------
 # differential test: the constructions against a plain Fraction reference
 
@@ -298,10 +311,10 @@ def _random_relation(rng, x, xn):
 def test_extension_matches_fraction_reference():
     rng = random.Random(42)
     kinds = Counter()
-    for case in range(240):
+    for case in range(320):
         lam = F(rng.randint(2, 5), rng.randint(6, 9))
         h = F(rng.randint(1, 2), rng.randint(3, 7))
-        kind = ("perturbed", "swapped", "random")[case % 3]
+        kind = ("perturbed", "swapped", "random", "doubled")[case % 4]
         if kind == "perturbed":
             inst = harness._perturbed_instance(rng, lam)
             x, xn = inst["x"], inst["xn"]
@@ -314,7 +327,10 @@ def test_extension_matches_fraction_reference():
             x = harness.random_point_set(
                 rng, harness.GeneratorConfig(window=Window.of(0, 2)), max_points=3
             )
-            xn = PointSet(tuple(p + F(rng.randint(-2, 2), 256) for p in x.points))
+            # distinct points differ by at least 1/4032: the jitter keeps the order
+            xn = PointSet(tuple(p + F(rng.randint(-2, 2), 16384) for p in x.points))
+            if kind == "doubled":  # a second image close to one point
+                xn = PointSet.of([*xn, rng.choice(xn.points) + F(rng.randint(1, 6), 64)])
             r = _random_relation(rng, x, xn)
         try:
             res = extend_correspondence(r, x, xn, lam, h)
