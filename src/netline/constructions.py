@@ -4,23 +4,50 @@ Both constructions operate on discretized continuum sets, so each result
 carries the continuum bound and a separate additive discretization slack
 (2 * step).  The slack is never folded into the bound: the certified
 inequality is  value <= bound + slack,  and the slack term halves exactly
-when the step halves.
+when the step halves.  Both run on one int scale, `geometry._scaled` of the
+point sets, radii and step; Fractions are built only for returned sets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .correspondence import (
     Correspondence,
     DistortionCertificate,
     FiniteMetricSpace,
-    distortion,
+    Pair,
+    _line_distances,
+    int_distortion,
 )
 from .errors import PreconditionError
-from .geometry import PointSet, ScalarLike, as_scalar, sample, thicken
+from .geometry import (
+    PointSet,
+    ScalarLike,
+    _clamp_fuse,
+    _nearest,
+    _sample,
+    _scaled,
+    as_scalar,
+)
 from .homotopy import f_map
+
+
+def _sampled_thickening(points: list[int], r: int, h: int) -> list[int]:
+    return _sample(_clamp_fuse(points, r, points[0] - r, points[-1] + r), h)
+
+
+def _certified(
+    pairs: Iterable[Pair], xs: list[int], ys: list[int], scale: int
+) -> tuple[Correspondence, DistortionCertificate, FiniteMetricSpace, FiniteMetricSpace]:
+    """The correspondence, its certificate and both line spaces, in Fractions."""
+    corr = Correspondence.of(pairs, len(xs), len(ys))
+    value, witness = int_distortion(corr.pairs, *map(_line_distances, (xs, ys)))
+    left, right = (FiniteMetricSpace.from_line(PointSet(tuple(
+        Fraction(v, scale) for v in pts))) for pts in (xs, ys))
+    return corr, DistortionCertificate(Fraction(value, scale), witness), left, right
 
 
 class SegmentCorrespondence(NamedTuple):
@@ -49,29 +76,27 @@ def segment_correspondence(
     if h <= 0:
         raise ValueError("step must be positive")
 
-    s1 = sample(thicken(x, rad1), h)
-    s2 = sample(thicken(x, rad2), h)
-    pairs: set[tuple[int, int]] = set()
-
-    for p in x.points:
-        lo1, hi1 = p - rad1, p + rad1
-        lo2, hi2 = p - rad2, p + rad2
-        for ai, a in enumerate(s1.points):
-            if lo1 <= a <= hi1:
-                image = p + (a - p) * rad2 / rad1 if rad1 > 0 else p
-                pairs.add((ai, s2.index_nearest(image)))
-        for bi, b in enumerate(s2.points):
-            if lo2 <= b <= hi2:
-                preimage = p + (b - p) * rad1 / rad2 if rad2 > 0 else p
-                pairs.add((s1.index_nearest(preimage), bi))
-
-    corr = Correspondence.of(pairs, len(s1), len(s2))
-    left = FiniteMetricSpace.from_line(s1)
-    right = FiniteMetricSpace.from_line(s2)
-    cert = distortion(corr, left, right)
+    scale, (pts, (ir1, ir2, ih)) = _scaled((x.points,), ((rad1, rad2, h),))
+    s1, s2 = (_sampled_thickening(pts, r, ih) for r in (ir1, ir2))
+    pairs = set(_affine_pairs(pts, s1, ir1, s2, ir2))
+    pairs.update((k, l) for l, k in _affine_pairs(pts, s2, ir2, s1, ir1))
     return SegmentCorrespondence(
-        corr, cert, left, right, 2 * abs(rad1 - rad2), 2 * h
+        *_certified(pairs, s1, s2, scale), 2 * abs(rad1 - rad2), 2 * h
     )
+
+
+def _affine_pairs(
+    centres: list[int], src: list[int], r_src: int, dst: list[int], r_dst: int
+) -> list[Pair]:
+    """(k, l) for each sample src[k] within r_src of a centre p and the dst[l]
+    nearest p + (src[k] - p)·r_dst/r_src, compared times r_src (p at r_src = 0)."""
+    den, num = (r_src, r_dst) if r_src else (1, 0)
+    targets = [den * b for b in dst]
+    return [
+        (k, _nearest(targets, den * p + (src[k] - p) * num))
+        for p in centres
+        for k in range(bisect_left(src, p - r_src), bisect_right(src, p + r_src))
+    ]
 
 
 class ExtendedCorrespondence(NamedTuple):
@@ -109,52 +134,34 @@ def extend_correspondence(
     if r.n_left != len(x) or r.n_right != len(xn):
         raise ValueError("correspondence shape does not match the point sets")
 
-    base = distortion(
-        r, FiniteMetricSpace.from_line(x), FiniteMetricSpace.from_line(xn)
-    )
-    if not base.value < lam_v / 8:
+    radius = f_map(lam_v)
+    scale, (xs, ys, (ir, ih)) = _scaled((x.points,), (xn.points,), ((radius, h),))
+    value, _ = int_distortion(r.pairs, *map(_line_distances, (xs, ys)))
+    base = Fraction(value, scale)
+    if not base < lam_v / 8:
         raise PreconditionError(
-            f"dis r = {base.value} is not below lam/8 = {lam_v / 8}; "
+            f"dis r = {base} is not below lam/8 = {lam_v / 8}; "
             "the 5x extension bound is only guaranteed under that hypothesis"
         )
 
-    radius = f_map(lam_v)
-    ground_left = PointSet.of(
-        list(x.points) + list(sample(thicken(x, radius), h).points)
-    )
-    ground_right = PointSet.of(
-        list(xn.points) + list(sample(thicken(xn, radius), h).points)
-    )
-    left_index = {p: k for k, p in enumerate(ground_left.points)}
-    right_index = {p: k for k, p in enumerate(ground_right.points)}
-
-    pairs: set[tuple[int, int]] = set()
-    for i, j in r.pairs:
-        pairs.add((left_index[x.points[i]], right_index[xn.points[j]]))
-
+    left = sorted({*xs, *_sampled_thickening(xs, ir, ih)})
+    right = sorted({*ys, *_sampled_thickening(ys, ir, ih)})
+    pairs = {(bisect_left(left, xs[i]), bisect_left(right, ys[j])) for i, j in r.pairs}
     covered_left = {a for a, _ in pairs}
     covered_right = {b for _, b in pairs}
     images = {i: min(r.image_of(i)) for i in range(len(x))}
     preimages = {j: min(r.preimage_of(j)) for j in range(len(xn))}
 
-    for ai, a in enumerate(ground_left.points):
-        if ai in covered_left:
-            continue
-        src = x.index_nearest(a)
-        shifted = xn.points[images[src]] + (a - x.points[src])
-        pairs.add((ai, ground_right.index_nearest(shifted)))
+    for ai, a in enumerate(left):
+        if ai not in covered_left:
+            src = _nearest(xs, a)
+            pairs.add((ai, _nearest(right, ys[images[src]] + a - xs[src])))
 
-    for bi, b in enumerate(ground_right.points):
-        if bi in covered_right:
-            continue
-        src = xn.index_nearest(b)
-        shifted = x.points[preimages[src]] + (b - xn.points[src])
-        pairs.add((ground_left.index_nearest(shifted), bi))
+    for bi, b in enumerate(right):
+        if bi not in covered_right:
+            src = _nearest(ys, b)
+            pairs.add((_nearest(left, xs[preimages[src]] + b - ys[src]), bi))
 
-    corr = Correspondence.of(pairs, len(ground_left), len(ground_right))
-    left = FiniteMetricSpace.from_line(ground_left)
-    right = FiniteMetricSpace.from_line(ground_right)
-    cert = distortion(corr, left, right)
     return ExtendedCorrespondence(
-        corr, cert, left, right, base.value, 5 * base.value, 2 * h
+        *_certified(pairs, left, right, scale), base, 5 * base, 2 * h
     )

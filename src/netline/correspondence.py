@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .geometry import PointSet, ScalarLike, _scaled, as_scalar
+from .geometry import PointSet, ScalarLike, _nearest, _scaled, as_scalar
 
 Pair = tuple[int, int]
 
@@ -163,8 +163,9 @@ class Correspondence:
         Ties resolve to the smaller coordinate; pairing in both directions
         makes the result doubly surjective.
         """
-        pairs = {(i, y.index_nearest(p)) for i, p in enumerate(x.points)}
-        pairs |= {(x.index_nearest(q), j) for j, q in enumerate(y.points)}
+        _, (xs, ys) = _scaled((x.points,), (y.points,))
+        pairs = {(i, _nearest(ys, p)) for i, p in enumerate(xs)}
+        pairs |= {(_nearest(xs, q), j) for j, q in enumerate(ys)}
         return cls.of(pairs, len(x), len(y))
 
     def __len__(self) -> int:
@@ -188,13 +189,17 @@ class DistortionCertificate:
 RelationLike = Union[Relation, Correspondence]
 
 
+def _line_distances(xs: list[int]) -> list[list[int]]:
+    return [[abs(a - b) for b in xs] for a in xs]
+
+
 def scaled_int_matrices(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """Both matrices over a common denominator, as plain int matrices."""
     if x.line_coords is not None and y.line_coords is not None:
         den, lines = _scaled((x.line_coords.points,), (y.line_coords.points,))
-        return den, *([[abs(a - b) for b in xs] for a in xs] for xs in lines)
+        return den, *map(_line_distances, lines)
     den, rows = _scaled(*((row,) for row in x.dist + y.dist))
     return den, rows[: x.n], rows[x.n :]
 

@@ -90,16 +90,6 @@ class PointSet:
             raise ValueError("scale factor must be positive")
         return PointSet(tuple(p * f for p in self.points))
 
-    def index_nearest(self, x: Fraction) -> int:
-        """Index of the nearest point; ties resolve to the smaller point."""
-        pts = self.points
-        k = bisect_left(pts, x)
-        if k == 0:
-            return 0
-        if k == len(pts):
-            return len(pts) - 1
-        return k - 1 if x - pts[k - 1] <= pts[k] - x else k
-
     def to_intervals(self) -> "IntervalUnion":
         return IntervalUnion(tuple((p, p) for p in self.points))
 
@@ -233,6 +223,24 @@ def _clamp_fuse(points: list[int], r: int, lo: int, hi: int) -> list[int]:
     return flat
 
 
+def _nearest(points: list[int], x: int) -> int:
+    """Index of the ascending point nearest x; ties resolve to the smaller point."""
+    k = bisect_left(points, x)
+    if 0 < k < len(points) and x - points[k - 1] <= points[k] - x:
+        return k - 1
+    return min(k, len(points) - 1)
+
+
+def _sample(flat: list[int], h: int) -> list[int]:
+    """Each span of a flat sorted list from its left end by h, plus its right end."""
+    pts: list[int] = []
+    for a, b in zip(flat[::2], flat[1::2]):
+        pts += range(a, b + 1, h)
+        if pts[-1] != b:
+            pts.append(b)
+    return pts
+
+
 def _directed_sup(src: list[int], dst: list[int]) -> int:
     """sup over x in src of d(x, dst); both flat sorted [lo, hi, lo, hi, ...]."""
     best, n, k = 0, len(dst), 0
@@ -295,10 +303,5 @@ def sample(s: IntervalUnion, step: ScalarLike) -> PointSet:
     h = as_scalar(step)
     if h <= 0:
         raise ValueError("sampling step must be positive")
-    pts: list[Fraction] = []
-    for a, b in s.intervals:
-        k = (b - a) // h
-        pts.extend(a + i * h for i in range(int(k) + 1))
-        if pts[-1] != b:
-            pts.append(b)
-    return PointSet(tuple(pts))
+    scale, (flat, (hs,)) = _scaled(s.intervals, ((h,),))
+    return PointSet(tuple(Fraction(v, scale) for v in _sample(flat, hs)))

@@ -112,8 +112,8 @@ class Tally(Counter):
 Check = Callable[..., "str | None"]
 
 
-def _instance_json(instance: dict) -> str:
-    doc: dict = {}
+def _instance_json(check: Check, instance: dict) -> str:
+    doc: dict = {"check": check.__name__.removeprefix("_")}
     for key, val in instance.items():
         if isinstance(val, (PointSet, Window)):
             doc[key] = format_space(val)
@@ -254,7 +254,7 @@ def _suite(
                 if detail is not None:
                     instance, detail = shrink_instance(check, instance, detail)
                     failures.append(
-                        CaseFailure(index, _instance_json(instance), detail)
+                        CaseFailure(index, _instance_json(check, instance), detail)
                     )
         shown = records(tally, cases) if records else ()
         return SuiteReport(report, cfg.seed, cases, tuple(failures), shown)

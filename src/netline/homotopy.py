@@ -44,11 +44,11 @@ def _deformations(
     sets: Sequence[PointSet], lams: Sequence[ScalarLike], w: Window
 ) -> tuple[int, list[int], list[Fraction | None], list[list[list[int]]]]:
     """(scale, window, f(lam) per lam, each set's flat int spans per lam)."""
-    radii = []
-    for lam in lams:
-        radii.append(f_map(lam))
-        if not all(w.contains(s) for s in sets):
-            raise ValueError("point set must lie inside the window")
+    # the first parameter is checked before the window, the rest after it
+    radii = [f_map(lam) for lam in lams[:1]]
+    if not all(w.contains(s) for s in sets):
+        raise ValueError("point set must lie inside the window")
+    radii += map(f_map, lams[1:])
     # at lam = 1, a radius of the window's width fuses any set into the window
     finite = [w.hi - w.lo if f is None else f for f in radii]
     scale, (window, rs, *pts) = _scaled(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import random
@@ -75,7 +74,7 @@ def test_gh_bounds_suite_passes_and_serialises_failures(monkeypatch):
     rep = verify_gh_bounds(cfg, cases=20)
     assert len(rep.failures) == 20
     doc = json.loads(rep.failures[0].instance)
-    assert set(doc) == {"x", "y"}
+    assert doc.keys() == {"check", "x", "y"} and doc["check"] == "check_gh_bounds"
     assert "refinement bound" in rep.failures[0].detail
 
 
@@ -159,6 +158,10 @@ FAULTS = {
 }
 
 
+# checks whose point documents are line metric spaces, not point sets
+METRIC_CHECKS = {harness._check_bounded_cloud, harness._check_gh_bounds}
+
+
 def _parse_instance(doc: dict, metric: bool) -> dict:
     parsed = {}
     for key, val in doc.items():
@@ -171,17 +174,6 @@ def _parse_instance(doc: dict, metric: bool) -> dict:
         else:
             parsed[key] = val
     return parsed
-
-
-def _check_for(checks, keys):
-    """The one check whose parameters an instance with these fields fits."""
-    def fits(check):
-        params = list(inspect.signature(check).parameters.values())[1:]
-        required = {p.name for p in params if p.default is inspect.Parameter.empty}
-        return required <= keys <= {p.name for p in params}
-
-    (check,) = [c for c in checks if fits(c)]
-    return check
 
 
 def _one_point_short(value):
@@ -216,11 +208,11 @@ def test_injected_faults_give_shrunk_replayable_failures(name, monkeypatch):
     cases = 12
     rep = verify(GeneratorConfig(seed=1), cases=cases)
     assert rep.failures
-    metric = name in ("bounded-cloud", "gh-bounds")
     for failure in rep.failures:
         doc = json.loads(failure.instance)
-        instance = _parse_instance(doc, metric)
-        check = _check_for(checks, set(doc))
+        check = getattr(harness, "_" + doc.pop("check"))
+        assert check in checks
+        instance = _parse_instance(doc, check in METRIC_CHECKS)
         assert check(Tally(), **instance) == failure.detail
         for key, value in instance.items():
             for smaller in _one_point_short(value):
