@@ -5,7 +5,8 @@ carries the continuum bound and a separate additive discretization slack
 (2 * step).  The slack is never folded into the bound: the certified
 inequality is  value <= bound + slack,  and the slack term halves exactly
 when the step halves.  Both run on one int scale, `geometry._scaled` of the
-point sets, radii and step; Fractions are built only for returned sets.
+stored point sets, radii and step; the returned sets are built from their
+ints by the int constructor, with no per-point Fraction.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .geometry import (
     PointSet,
     ScalarLike,
     _clamp_fuse,
+    _form,
     _nearest,
     _sample,
     _scaled,
@@ -36,17 +38,17 @@ from .homotopy import f_map
 
 
 def _sampled_thickening(points: list[int], r: int, h: int) -> list[int]:
-    return _sample(_clamp_fuse(points, r, points[0] - r, points[-1] + r), h)
+    return _sample(_clamp_fuse(points, points, r, points[0] - r, points[-1] + r), h)
 
 
 def _certified(
     pairs: Iterable[Pair], xs: list[int], ys: list[int], scale: int
 ) -> tuple[Correspondence, DistortionCertificate, FiniteMetricSpace, FiniteMetricSpace]:
-    """The correspondence, its certificate and both line spaces, in Fractions."""
+    """The correspondence, its certificate and both line spaces over ``scale``."""
     corr = Correspondence.of(pairs, len(xs), len(ys))
     value, witness = int_distortion(corr.pairs, *map(_line_distances, (xs, ys)))
-    left, right = (FiniteMetricSpace.from_line(PointSet(tuple(
-        Fraction(v, scale) for v in pts))) for pts in (xs, ys))
+    left, right = (FiniteMetricSpace.from_line(PointSet.from_ints(pts, scale))
+                   for pts in (xs, ys))
     return corr, DistortionCertificate(Fraction(value, scale), witness), left, right
 
 
@@ -76,7 +78,7 @@ def segment_correspondence(
     if h <= 0:
         raise ValueError("step must be positive")
 
-    scale, (pts, (ir1, ir2, ih)) = _scaled((x.points,), ((rad1, rad2, h),))
+    scale, (pts, (ir1, ir2, ih)) = _scaled((x.ints, x.den), _form((rad1, rad2, h)))
     s1, s2 = (_sampled_thickening(pts, r, ih) for r in (ir1, ir2))
     pairs = set(_affine_pairs(pts, s1, ir1, s2, ir2))
     pairs.update((k, l) for l, k in _affine_pairs(pts, s2, ir2, s1, ir1))
@@ -135,7 +137,8 @@ def extend_correspondence(
         raise ValueError("correspondence shape does not match the point sets")
 
     radius = f_map(lam_v)
-    scale, (xs, ys, (ir, ih)) = _scaled((x.points,), (xn.points,), ((radius, h),))
+    scale, (xs, ys, (ir, ih)) = _scaled(
+        (x.ints, x.den), (xn.ints, xn.den), _form((radius, h)))
     value, _ = int_distortion(r.pairs, *map(_line_distances, (xs, ys)))
     base = Fraction(value, scale)
     if not base < lam_v / 8:

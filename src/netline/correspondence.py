@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .geometry import PointSet, ScalarLike, _nearest, _scaled, as_scalar
+from .geometry import PointSet, ScalarLike, _form, _nearest, _scaled, as_scalar
 
 Pair = tuple[int, int]
 
@@ -39,7 +39,7 @@ class FiniteMetricSpace:
             raise ValueError("a metric space needs at least one point")
         if any(len(row) != n for row in self.metric):
             raise ValueError("distance matrix must be square")
-        _, d = _scaled(*((row,) for row in self.metric))
+        _, d = _scaled(*map(_form, self.metric))
         for i, ri in enumerate(d):
             if ri[i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -85,8 +85,9 @@ class FiniteMetricSpace:
 
 def diam(x: FiniteMetricSpace) -> Fraction:
     """Largest distance; zero for the one-point space."""
-    if x.line_coords is not None:
-        return x.line_coords.last - x.line_coords.first
+    pts = x.line_coords
+    if pts is not None:
+        return Fraction(pts.ints[-1] - pts.ints[0], pts.den)
     return max(map(max, x.dist))
 
 
@@ -163,7 +164,7 @@ class Correspondence:
         Ties resolve to the smaller coordinate; pairing in both directions
         makes the result doubly surjective.
         """
-        _, (xs, ys) = _scaled((x.points,), (y.points,))
+        _, (xs, ys) = _scaled((x.ints, x.den), (y.ints, y.den))
         pairs = {(i, _nearest(ys, p)) for i, p in enumerate(xs)}
         pairs |= {(_nearest(xs, q), j) for j, q in enumerate(ys)}
         return cls.of(pairs, len(x), len(y))
@@ -198,9 +199,10 @@ def scaled_int_matrices(
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """Both matrices over a common denominator, as plain int matrices."""
     if x.line_coords is not None and y.line_coords is not None:
-        den, lines = _scaled((x.line_coords.points,), (y.line_coords.points,))
+        xs, ys = x.line_coords, y.line_coords
+        den, lines = _scaled((xs.ints, xs.den), (ys.ints, ys.den))
         return den, *map(_line_distances, lines)
-    den, rows = _scaled(*((row,) for row in x.dist + y.dist))
+    den, rows = _scaled(*map(_form, x.dist + y.dist))
     return den, rows[: x.n], rows[x.n :]
 
 

@@ -4,9 +4,11 @@ Scalars travel as exact strings; JSON floats are rejected because they are
 already rounded.  A scalar string is whatever `fractions.Fraction` accepts
 on the running Python; "p/q", integers and plain decimals like "3.25" are
 portable.  The forms the program writes, ASCII integers and "p/q", are
-parsed with `int()`, everything else by `Fraction(str)` itself.
-Printing is canonical and deterministic, so parse(print(x)) = x bit-exact
-and identical inputs always produce byte-identical documents.
+parsed with `int()`, everything else by `Fraction(str)` itself.  Points and
+intervals go straight from strings to ints over one denominator, the form
+`geometry` stores, with no Fraction per scalar.  Printing is canonical and
+deterministic, so parse(print(x)) = x bit-exact and identical inputs always
+produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Any, Callable, Union
 
 from .correspondence import Correspondence, FiniteMetricSpace, distortion
-from .geometry import IntervalUnion, PointSet, Window, scalar_str
+from .geometry import IntervalUnion, PointSet, Window, _over_lcm, scalar_str
 from .solver import EXHAUSTIVE_LIMIT, GHResult, gh_exact
 
 SpaceObject = Union[PointSet, IntervalUnion, Window]
@@ -30,22 +32,23 @@ class FormatError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-def parse_scalar(value: Any, location: str | Callable[[], str] = "$") -> Fraction:
-    """The exact value of a document scalar; a callable ``location`` is
-    called to build the field's location only if the value fails."""
+def _ratio(value: Any, location: str | Callable[[], str]) -> tuple[int, int]:
+    """(num, den) of a document scalar, den > 0 and not reduced; a callable
+    ``location`` is called to build the field's location only if it fails."""
     try:
         if isinstance(value, str):
             num, slash, den = value.partition("/")
             digits = num[1:] if num[:1] == "-" else num
+            # a zero denominator goes to Fraction(str), which reports it
             if digits.isdigit() and digits.isascii() and (
-                not slash or den.isdigit() and den.isascii()
+                not slash or den.isdigit() and den.isascii() and den.strip("0")
             ):
-                return Fraction(int(num), int(den) if slash else 1)
-            return Fraction(value)
+                return int(num), int(den) if slash else 1
+            return Fraction(value).as_integer_ratio()
         if isinstance(value, bool):
             message = "expected an exact number, got a boolean"
         elif isinstance(value, int):
-            return Fraction(value)
+            return value, 1
         elif isinstance(value, float):
             message = "floats are not exact; write the value as a string"
         else:
@@ -53,6 +56,11 @@ def parse_scalar(value: Any, location: str | Callable[[], str] = "$") -> Fractio
     except (ValueError, ZeroDivisionError) as exc:
         message = f"not a rational: {value!r} ({exc})"
     raise FormatError(location() if callable(location) else location, message)
+
+
+def parse_scalar(value: Any, location: str | Callable[[], str] = "$") -> Fraction:
+    """The exact value of a document scalar (see `_ratio`)."""
+    return Fraction(*_ratio(value, location))
 
 
 def _require(doc: Any, key: str, location: str) -> Any:
@@ -70,10 +78,10 @@ def parse_space(doc: Any, location: str = "$") -> SpaceObject:
         coords = _require(doc, "coords", location)
         if not isinstance(coords, list) or not coords:
             raise FormatError(f"{location}.coords", "expected a nonempty list")
-        points = [parse_scalar(v, lambda: f"{location}.coords[{k}]")
+        points = [_ratio(v, lambda: f"{location}.coords[{k}]")
                   for k, v in enumerate(coords)]
         try:
-            return PointSet(tuple(points))
+            return PointSet.from_ints(*_over_lcm(points))._check()
         except ValueError as exc:
             raise FormatError(f"{location}.coords", str(exc))
     if kind == "intervals":
@@ -81,15 +89,15 @@ def parse_space(doc: Any, location: str = "$") -> SpaceObject:
         where = f"{location}.intervals"
         if not isinstance(spans, list) or not spans:
             raise FormatError(where, "expected a nonempty list")
-        parsed = []
+        ends = []
         for i, span in enumerate(spans):
             if not isinstance(span, list) or len(span) != 2:
                 raise FormatError(f"{where}[{i}]", "expected a pair [lo, hi]")
             lo, hi = span
-            parsed.append((parse_scalar(lo, lambda: f"{where}[{i}][0]"),
-                           parse_scalar(hi, lambda: f"{where}[{i}][1]")))
+            ends += (_ratio(lo, lambda: f"{where}[{i}][0]"),
+                     _ratio(hi, lambda: f"{where}[{i}][1]"))
         try:
-            return IntervalUnion.merge(parsed)
+            return IntervalUnion.merge_ints(*_over_lcm(ends))
         except ValueError as exc:
             raise FormatError(where, str(exc))
     if kind == "window":

@@ -1,13 +1,18 @@
 """Exact geometry of finite point sets and closed interval unions on the line.
 
-Every coordinate, radius and distance is a `fractions.Fraction`; nothing in
-this module ever rounds.  The ambient real line is modelled by a finite
-`Window`, and covering radii are always taken relative to one.
+Every coordinate, radius and distance is exact; nothing in this module ever
+rounds.  A `PointSet`, `IntervalUnion` or `Window` stores ints over one
+denominator in lowest terms, `ints[k] / den`, so dataclass equality and
+hashing are value-based; `.points`, `.intervals`, `.lo` and `.hi` are
+`fractions.Fraction` views built on first use.  The ambient real line is
+modelled by a finite `Window`, and covering radii are always taken relative
+to one.
 
-Distances between sets and the deformation share one integer kernel: scaled
-by 2·lcm of the denominators (of the endpoints, or of a set, its window and
-every radius), every endpoint and gap midpoint is an int, spans clamp and
-fuse as ints, and one O(n + m) merge gives a directed sup.
+Distances between sets and the deformation share one integer kernel: each
+stored form is rescaled by an int factor to 2·lcm of the denominators (of
+the sets, and of a window and every radius), so every endpoint and gap
+midpoint is an int, spans clamp and fuse as ints, and one O(n + m) merge
+gives a directed sup.
 """
 
 from __future__ import annotations
@@ -15,12 +20,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from itertools import chain
+from math import gcd, lcm
+from operator import lt, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Fraction
 
 ScalarLike = Union[Fraction, int, str]
+
+Form = tuple[Sequence[int], int]  # values ints[k] / den over one positive den
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -38,28 +48,67 @@ def as_scalar(value: ScalarLike) -> Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
 
 
-def _cmp(a: Fraction, b: Fraction) -> int:
-    """The sign of a - b, by cross-multiplying: cheaper than comparing Fractions."""
-    return a.numerator * b.denominator - b.numerator * a.denominator
-
-
 def scalar_str(value: Fraction) -> str:
     """Canonical text form: "p/q", or plain "p" for integers."""
     return str(value)
 
 
-@dataclass(frozen=True)
-class PointSet:
+def _over_lcm(ratios: list[tuple[int, int]]) -> Form:
+    """(num, den) pairs as ints over the lcm of the dens.  For reduced pairs
+    that is lowest terms: some pair's den holds each prime power of the lcm."""
+    den = lcm(*{d for _, d in ratios})
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _form(values: Iterable[Fraction]) -> Form:
+    """Exact values, Fractions or ints, over the lcm of their denominators."""
+    return _over_lcm([v.as_integer_ratio() for v in values])
+
+
+@dataclass(frozen=True, init=False)
+class _Ints:
+    """Values ints[k] / den, kept in lowest terms: gcd(den, *ints) == 1.
+
+    A Fraction constructor seeds the Fraction view with the values it was
+    given; a set built from ints builds that view on first use.
+    """
+
+    ints: tuple[int, ...]
+    den: int
+
+    @classmethod
+    def from_ints(cls, ints: Sequence[int], den: int):
+        """The int constructor: ints in the class's order over a positive den,
+        reduced here to lowest terms; the order is trusted, not re-checked."""
+        g = gcd(den, *ints)
+        obj = object.__new__(cls)
+        # tuples are built from lists: a generator's tuple is allocated at
+        # length 10 and resized, which fills CPython's per-length free lists
+        obj.__dict__.update(ints=tuple([v // g for v in ints] if g > 1 else ints),
+                            den=den // g)
+        return obj
+
+
+@dataclass(frozen=True, init=False)
+class PointSet(_Ints):
     """Nonempty, strictly increasing finite set of coordinates."""
 
-    points: tuple[Fraction, ...]
+    def __init__(self, points: Sequence[Fraction]) -> None:
+        points = tuple(points)
+        ints, den = _form(points)
+        self.__dict__.update(ints=tuple(ints), den=den, points=points)
+        self._check()
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def _check(self) -> "PointSet":
+        if not self.ints:
             raise ValueError("a point set needs at least one point")
-        for a, b in zip(self.points, self.points[1:]):
-            if _cmp(a, b) >= 0:
-                raise ValueError("points must be strictly increasing")
+        if not all(map(lt, self.ints, self.ints[1:])):
+            raise ValueError("points must be strictly increasing")
+        return self
+
+    @cached_property
+    def points(self) -> tuple[Fraction, ...]:
+        return tuple([Fraction(v, self.den) for v in self.ints])
 
     @classmethod
     def of(cls, values: Iterable[ScalarLike]) -> "PointSet":
@@ -67,18 +116,10 @@ class PointSet:
         return cls(tuple(sorted({as_scalar(v) for v in values})))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.ints)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.points)
-
-    @property
-    def first(self) -> Fraction:
-        return self.points[0]
-
-    @property
-    def last(self) -> Fraction:
-        return self.points[-1]
 
     def shift(self, delta: ScalarLike) -> "PointSet":
         d = as_scalar(delta)
@@ -88,53 +129,58 @@ class PointSet:
         f = as_scalar(factor)
         if f <= 0:
             raise ValueError("scale factor must be positive")
-        return PointSet(tuple(p * f for p in self.points))
+        return PointSet.from_ints([v * f.numerator for v in self.ints],
+                                  self.den * f.denominator)
 
     def to_intervals(self) -> "IntervalUnion":
-        return IntervalUnion(tuple((p, p) for p in self.points))
+        return IntervalUnion.from_ints(*_spans(self))
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Nonempty union of disjoint, non-touching closed intervals.
+@dataclass(frozen=True, init=False)
+class IntervalUnion(_Ints):
+    """Nonempty union of disjoint, non-touching closed intervals, stored as
+    the flat ends lo, hi, lo, hi, ...
 
     Degenerate intervals [a, a] are legal, so every PointSet embeds here and
     a single Hausdorff sweep covers both kinds of set.
     """
 
-    intervals: tuple[tuple[Fraction, Fraction], ...]
+    def __init__(self, intervals: Sequence[tuple[Fraction, Fraction]]) -> None:
+        intervals = tuple(intervals)
+        ends, den = _form(chain.from_iterable(intervals))
+        self.__dict__.update(ints=tuple(ends), den=den, intervals=intervals)
+        _check_spans(ends, den)
+        if not all(map(lt, ends[1::2], ends[2::2])):
+            raise ValueError("intervals must be disjoint and ordered; use merge()")
 
-    def __post_init__(self) -> None:
-        if not self.intervals:
-            raise ValueError("an interval union needs at least one interval")
-        for a, b in self.intervals:
-            if _cmp(a, b) > 0:
-                raise ValueError(f"backwards interval [{a}, {b}]")
-        for (_, b0), (a1, _) in zip(self.intervals, self.intervals[1:]):
-            if _cmp(b0, a1) >= 0:
-                raise ValueError("intervals must be disjoint and ordered; use merge()")
+    @cached_property
+    def intervals(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        ends = [Fraction(v, self.den) for v in self.ints]
+        return tuple(zip(ends[::2], ends[1::2]))
 
     @classmethod
     def merge(cls, spans: Iterable[tuple[ScalarLike, ScalarLike]]) -> "IntervalUnion":
         """Sort if out of order, then fuse overlapping or touching intervals."""
-        pairs = [(as_scalar(a), as_scalar(b)) for a, b in spans]
-        if any(_cmp(a0, a1) >= 0 for (a0, _), (a1, _) in zip(pairs, pairs[1:])):
+        return cls.merge_ints(*_form(
+            chain.from_iterable((as_scalar(a), as_scalar(b)) for a, b in spans)))
+
+    @classmethod
+    def merge_ints(cls, ends: Sequence[int], den: int) -> "IntervalUnion":
+        """`merge` of flat int ends lo, hi, lo, hi, ... over den."""
+        pairs = list(zip(ends[::2], ends[1::2]))
+        if any(a0 >= a1 for (a0, _), (a1, _) in zip(pairs, pairs[1:])):
             pairs.sort()
-        fused: list[tuple[Fraction, Fraction]] = []
+        _check_spans(list(chain.from_iterable(pairs)), den)
+        fused: list[int] = []
         for a, b in pairs:
-            if _cmp(a, b) > 0:
-                raise ValueError(f"backwards interval [{a}, {b}]")
-            if fused and _cmp(a, fused[-1][1]) <= 0:
-                if _cmp(b, fused[-1][1]) > 0:
-                    fused[-1] = (fused[-1][0], b)
+            if fused and a <= fused[-1]:
+                fused[-1] = max(fused[-1], b)
             else:
-                fused.append((a, b))
-        union = object.__new__(cls)  # canonical by construction: no re-check
-        object.__setattr__(union, "intervals", tuple(fused))
-        return union
+                fused += (a, b)
+        return cls.from_ints(fused, den)
 
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.ints) // 2
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         return all(
@@ -143,45 +189,58 @@ class IntervalUnion:
         )
 
 
-@dataclass(frozen=True)
-class Window:
+def _check_spans(ends: Sequence[int], den: int) -> None:
+    """Refuse no spans at all, then the first backwards span in the given order."""
+    if not ends:
+        raise ValueError("an interval union needs at least one interval")
+    for k in range(0, len(ends), 2):
+        if ends[k] > ends[k + 1]:
+            raise ValueError(f"backwards interval [{Fraction(ends[k], den)}, "
+                             f"{Fraction(ends[k + 1], den)}]")
+
+
+@dataclass(frozen=True, init=False)
+class Window(_Ints):
     """The finite segment [lo, hi] standing in for the whole line."""
 
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        ends, den = _form((lo, hi))
+        if not ends[0] < ends[1]:
             raise ValueError("window needs lo < hi")
+        self.__dict__.update(ints=tuple(ends), den=den, lo=lo, hi=hi)
+
+    lo = cached_property(lambda self: Fraction(self.ints[0], self.den))
+    hi = cached_property(lambda self: Fraction(self.ints[1], self.den))
 
     @classmethod
     def of(cls, lo: ScalarLike, hi: ScalarLike) -> "Window":
         return cls(as_scalar(lo), as_scalar(hi))
 
     def span(self) -> IntervalUnion:
-        return IntervalUnion(((self.lo, self.hi),))
+        return IntervalUnion.from_ints(self.ints, self.den)
 
     def contains(self, points: PointSet) -> bool:
-        return self.lo <= points.first and points.last <= self.hi
+        (lo, hi), den = self.ints, points.den
+        first, last = points.ints[0] * self.den, points.ints[-1] * self.den
+        return lo * den <= first and last <= hi * den
 
 
 SetOnLine = Union[PointSet, IntervalUnion]
 
-Spans = tuple[tuple[Fraction, Fraction], ...]
 
-
-def _spans(s: SetOnLine) -> Spans:
+def _spans(s: SetOnLine) -> Form:
+    """The set's spans as flat ints lo, hi, lo, hi, ... over its den."""
     if isinstance(s, PointSet):
-        return tuple((p, p) for p in s.points)
+        return list(chain.from_iterable(zip(s.ints, s.ints))), s.den
     if isinstance(s, IntervalUnion):
-        return s.intervals
+        return s.ints, s.den
     raise TypeError(f"expected PointSet or IntervalUnion, got {type(s).__name__}")
 
 
 def point_to_set_distance(p: ScalarLike, s: SetOnLine) -> Fraction:
     """Exact distance from a point to the nearest component of the set."""
     x = as_scalar(p)
-    scale, (src, dst) = _scaled(((x, x),), _spans(s))
+    scale, (src, dst) = _scaled(_form((x, x)), _spans(s))
     return Fraction(_directed_sup(src, dst), scale)
 
 
@@ -189,8 +248,8 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     """Exact Hausdorff distance between two sets on the line.
 
     Each directed sup is attained at an endpoint of the source or at a gap
-    midpoint of the target that lies in the source.  After one lcm, both
-    sets are scaled by s = 2·lcm(denominators): endpoints become even ints,
+    midpoint of the target that lies in the source.  Both stored forms are
+    rescaled to s = 2·lcm(denominators): endpoints become even ints,
     so every gap midpoint and half gap is an int too.  One O(n + m) forward
     merge per direction then finds the sup, and only the result is divided.
     """
@@ -198,12 +257,10 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     return Fraction(_symmetric_sup(sa, sb), scale)
 
 
-def _scaled(*span_lists: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """The scale 2·lcm(denominators), and each list of value tuples as flat ints."""
-    scale = 2 * lcm(*{v.denominator for spans in span_lists
-                      for span in spans for v in span})
-    return scale, [[v.numerator * (scale // v.denominator)
-                    for span in spans for v in span] for spans in span_lists]
+def _scaled(*forms: Form) -> tuple[int, list[list[int]]]:
+    """The scale 2·lcm of the forms' denominators, and each form's ints over it."""
+    scale = 2 * lcm(*{den for _, den in forms})
+    return scale, [[v * (scale // den) for v in ints] for ints, den in forms]
 
 
 def _symmetric_sup(a: list[int], b: list[int]) -> int:
@@ -211,11 +268,14 @@ def _symmetric_sup(a: list[int], b: list[int]) -> int:
     return max(_directed_sup(a, b), _directed_sup(b, a))
 
 
-def _clamp_fuse(points: list[int], r: int, lo: int, hi: int) -> list[int]:
-    """Spans [p - r, p + r] of ascending points, clamped to [lo, hi] and fused."""
+def _clamp_fuse(
+    los: Sequence[int], his: Sequence[int], r: int, lo: int, hi: int
+) -> list[int]:
+    """Spans [a - r, b + r] of the ascending disjoint spans (a, b) of zip(los,
+    his), clamped to [lo, hi] and fused; a point set passes its points twice."""
     flat: list[int] = []
-    for p in points:
-        a, b = max(p - r, lo), min(p + r, hi)
+    for p, q in zip(los, his):
+        a, b = max(p - r, lo), min(q + r, hi)
         if flat and a <= flat[-1]:
             flat[-1] = b  # right ends ascend too
         else:
@@ -272,14 +332,16 @@ def thicken(s: SetOnLine, r: ScalarLike) -> IntervalUnion:
     radius = as_scalar(r)
     if radius < 0:
         raise ValueError("thickening radius must be nonnegative")
-    return IntervalUnion.merge((a - radius, b + radius) for a, b in _spans(s))
+    scale, (ends, (rs,)) = _scaled(_spans(s), _form((radius,)))
+    return IntervalUnion.from_ints(
+        _clamp_fuse(ends[::2], ends[1::2], rs, ends[0] - rs, ends[-1] + rs), scale)
 
 
 def covering_radius(a: PointSet, w: Window) -> Fraction:
     """How far a point of the window can be from the set; d_H(A, window)."""
     if not w.contains(a):
         raise ValueError("point set must lie inside the window")
-    scale, (src, dst) = _scaled(((w.lo, w.hi),), _spans(a))
+    scale, (src, dst) = _scaled((w.ints, w.den), _spans(a))
     return Fraction(_directed_sup(src, dst), scale)
 
 
@@ -291,7 +353,7 @@ def separation(a: PointSet) -> Fraction:
     """Minimum gap between consecutive points; needs at least two points."""
     if len(a) < 2:
         raise ValueError("separation needs at least two points")
-    return min(q - p for p, q in zip(a.points, a.points[1:]))
+    return Fraction(min(map(sub, a.ints[1:], a.ints)), a.den)
 
 
 def sample(s: IntervalUnion, step: ScalarLike) -> PointSet:
@@ -303,5 +365,5 @@ def sample(s: IntervalUnion, step: ScalarLike) -> PointSet:
     h = as_scalar(step)
     if h <= 0:
         raise ValueError("sampling step must be positive")
-    scale, (flat, (hs,)) = _scaled(s.intervals, ((h,),))
-    return PointSet(tuple(Fraction(v, scale) for v in _sample(flat, hs)))
+    scale, (flat, (hs,)) = _scaled(_spans(s), _form((h,)))
+    return PointSet.from_ints(_sample(flat, hs), scale)

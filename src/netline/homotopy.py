@@ -5,9 +5,10 @@ to the window; lam = 1 is an explicit case mapping to the whole window.
 Clipping keeps the windowed model closed under the deformation and changes
 no Hausdorff quantity measured against the window.  Clamping each point's
 span before one sorted fuse equals clipping after: clamped spans stay
-nonempty, and disjoint ones stay apart.  All of it runs on the ints of
-`geometry.hausdorff`, under one scale for the set, the window and every
-radius; Fractions are built only for what the functions return.
+nonempty, and disjoint ones stay apart.  All of it runs on the stored
+ints of the sets and the window, rescaled to one scale with every radius;
+each deformed set is built from its ints by the int constructor, and
+Fractions are built only for distances and bounds.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .geometry import (
     ScalarLike,
     Window,
     _clamp_fuse,
+    _form,
     _scaled,
     _symmetric_sup,
     as_scalar,
@@ -52,13 +54,9 @@ def _deformations(
     # at lam = 1, a radius of the window's width fuses any set into the window
     finite = [w.hi - w.lo if f is None else f for f in radii]
     scale, (window, rs, *pts) = _scaled(
-        ((w.lo, w.hi),), (finite,), *((s.points,) for s in sets))
-    return scale, window, radii, [[_clamp_fuse(p, r, *window) for r in rs] for p in pts]
-
-
-def _union(flat: list[int], scale: int) -> IntervalUnion:
-    return IntervalUnion(tuple((Fraction(a, scale), Fraction(b, scale))
-                               for a, b in zip(flat[::2], flat[1::2])))
+        (w.ints, w.den), _form(finite), *[(s.ints, s.den) for s in sets])
+    fused = [[_clamp_fuse(p, p, r, *window) for r in rs] for p in pts]
+    return scale, window, radii, fused
 
 
 def contract(x: PointSet, lam: ScalarLike, w: Window) -> IntervalUnion:
@@ -68,7 +66,7 @@ def contract(x: PointSet, lam: ScalarLike, w: Window) -> IntervalUnion:
     one fuse of the spans [p - r, p + r] clamped to the window, r = lam/(1-lam).
     """
     scale, _, _, [[flat]] = _deformations([x], [lam], w)
-    return _union(flat, scale)
+    return IntervalUnion.from_ints(flat, scale)
 
 
 def continuity_in_lambda(
@@ -146,7 +144,8 @@ def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:
         else:
             bound = abs(f_lam - prev_f)
         rows.append(TraceRow(
-            lam, _union(flat, scale), Fraction(_symmetric_sup(flat, window), scale),
+            lam, IntervalUnion.from_ints(flat, scale),
+            Fraction(_symmetric_sup(flat, window), scale),
             Fraction(_symmetric_sup(flat, prev), scale), bound))
     return HomotopyTrace(tuple(rows))
 

@@ -57,6 +57,18 @@ def test_space_roundtrips_bit_exact():
     assert parse_space(format_space(union)) == union
     w = Window.of(F(-1, 2), F(21, 2))
     assert parse_space(format_space(w)) == w
+    # non-canonical but portable scalars parse to the values they name and
+    # print back canonically
+    doc = {"kind": "points", "coords": ["-0", "0.25", "6/4", "10/5"]}
+    canonical = {"kind": "points", "coords": ["0", "1/4", "3/2", "2"]}
+    want = PointSet.of(canonical["coords"])
+    assert parse_space(doc) == parse_space(canonical) == want
+    assert format_space(parse_space(doc)) == canonical
+    doc = {"kind": "intervals", "intervals": [["6/4", "10/5"], ["-0", "0.25"]]}
+    canonical = {"kind": "intervals", "intervals": [["0", "1/4"], ["3/2", "2"]]}
+    assert format_space(parse_space(doc)) == canonical
+    want = IntervalUnion.merge([(0, F(1, 4)), (F(3, 2), 2)])
+    assert parse_space(doc) == want and hash(parse_space(doc)) == hash(want)
 
 
 def test_grid_parses_to_points():

@@ -7,6 +7,7 @@ attained at an endpoint or gap midpoint of either set.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -24,8 +25,15 @@ from netline import (
     separation,
     thicken,
 )
-from netline.geometry import _spans
+from netline.formats import format_space, loads_space
 from netline.harness import GeneratorConfig, random_point_set, random_scalar
+
+
+def _spans(s) -> tuple:
+    """The set's spans as Fraction pairs, from its public views."""
+    if isinstance(s, IntervalUnion):
+        return s.intervals
+    return tuple(zip(s.points, s.points))
 
 
 def linear_dist_to_spans(x: F, spans) -> F:
@@ -47,6 +55,36 @@ def sup_norm_hausdorff(a, b) -> F:
         abs(linear_dist_to_spans(x, sa) - linear_dist_to_spans(x, sb))
         for x in candidates
     )
+
+
+def written(v: F, rng: random.Random) -> str:
+    """v as a portable but non-canonical scalar, when it has one: "-0",
+    integer-valued ("10/5"), decimal ("0.25") or unreduced ("6/4")."""
+    q = v.denominator
+    k = max(q.bit_length() - 1, 0)
+    if v == 0 and rng.random() < 0.5:
+        return "-0"
+    if q == 1 and rng.random() < 0.5:
+        return f"{v.numerator * 5}/5"
+    if q > 1 and 10 ** k % q == 0 and rng.random() < 0.5:  # q = 2^a 5^b, a <= k
+        digits = str(abs(v.numerator) * 10 ** k // q).rjust(k + 1, "0")
+        return f"{'-' * (v < 0)}{digits[:-k]}.{digits[-k:]}"
+    m = rng.randint(2, 4)
+    return f"{v.numerator * m}/{q * m}"
+
+
+def reparsed(s, rng: random.Random):
+    """s through a document written with non-canonical scalars and shuffled
+    spans: the parsed set equals and hashes like s, and prints canonically."""
+    if isinstance(s, PointSet):
+        doc = {"kind": "points", "coords": [written(p, rng) for p in s.points]}
+    else:
+        spans = [[written(a, rng), written(b, rng)] for a, b in s.intervals]
+        doc = {"kind": "intervals", "intervals": rng.sample(spans, len(spans))}
+    parsed = loads_space(json.dumps(doc))
+    assert parsed == s and hash(parsed) == hash(s)
+    assert format_space(parsed) == format_space(s)
+    return parsed
 
 
 def random_union(rng: random.Random, lo=F(0), hi=F(10), max_parts=3) -> IntervalUnion:
@@ -76,6 +114,8 @@ def test_interval_union_invariants():
         IntervalUnion(((F(1), F(0)),))
     with pytest.raises(ValueError):
         IntervalUnion(((F(0), F(1)), (F(1), F(2))))  # touching: not canonical
+    with pytest.raises(ValueError, match="at least one interval"):
+        IntervalUnion.merge([])
     merged = IntervalUnion.merge([(0, 1), (1, 2), (5, 5)])
     assert merged.intervals == ((F(0), F(2)), (F(5), F(5)))
     # a span inside the one before it must not cut that one short
@@ -163,7 +203,10 @@ def test_hausdorff_matches_sup_norm_oracle():
     for _ in range(400):
         a = random_union(rng)
         b = random_union(rng)
-        assert hausdorff(a, b) == sup_norm_hausdorff(a, b)
+        want = sup_norm_hausdorff(a, b)
+        assert hausdorff(a, b) == want
+        # the same sets parsed straight to ints from documents
+        assert hausdorff(reparsed(a, rng), reparsed(b, rng)) == want
 
 
 COPRIME_DENOMINATORS = (1, 2, 97, 101, 103)
@@ -204,9 +247,13 @@ def test_hausdorff_matches_oracle_on_coprime_denominators():
         touched += any(t in span for span in _spans(a) for t in touch)
         if rng.random() < 0.5:
             a, b = b, a
-        assert hausdorff(a, b) == sup_norm_hausdorff(a, b)
+        want = sup_norm_hausdorff(a, b)
+        assert hausdorff(a, b) == want
+        pa, pb = reparsed(a, rng), reparsed(b, rng)
+        assert hausdorff(pa, pb) == want
         x = coprime_scalar(rng, -25, 25)
-        assert point_to_set_distance(x, a) == linear_dist_to_spans(x, _spans(a))
+        near = linear_dist_to_spans(x, _spans(a))
+        assert point_to_set_distance(x, a) == point_to_set_distance(x, pa) == near
     assert touched >= 100
 
 
