@@ -9,12 +9,13 @@ pass/fail checks.
 Every suite is one row of ``SUITES`` and runs through one runner.  The
 row's ``draw(rng, cfg, index)`` returns case ``index``'s ``(check,
 instance)`` items, taking every random choice from the suite's seeded
-``random.Random``, so identical configurations reproduce identical reports
-byte for byte.  ``check(tally, **instance)`` returns a failure detail or
-``None`` and may count into the suite's ``Tally``, which the row's
-``records`` renders.  A failing instance is shrunk by greedy point removal
-(``shrink_instance``) and serialized, so the case can be replayed verbatim
-through ``netline.formats``.
+``random.Random``, so a configuration reproduces its report byte for byte.
+Point sets are drawn as int ratios and built by ``PointSet.from_ints``;
+their ``Fraction`` points are built only for printed values.
+``check(tally, **instance)`` returns a failure detail or ``None`` and may
+count into the suite's ``Tally``, which the row's ``records`` renders.  A
+failing instance is shrunk by greedy point removal (``shrink_instance``)
+and serialized for replay through ``netline.formats``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 from .constructions import extend_correspondence, segment_correspondence
@@ -34,6 +36,7 @@ from .geometry import (
     PointSet,
     ScalarLike,
     Window,
+    _over_lcm,
     as_scalar,
     covering_radius,
     hausdorff,
@@ -130,13 +133,19 @@ def _instance_json(check: Check, instance: dict) -> str:
 # generators
 
 
-def random_scalar(
+def _random_ratio(
     rng: random.Random, lo: Fraction, hi: Fraction, qmax: int
-) -> Fraction:
+) -> tuple[int, int]:
     q = rng.randint(1, qmax)
     # ceil(lo·q) and floor(hi·q), from numerators and denominators
     first = -(-lo.numerator * q // lo.denominator)
-    return Fraction(rng.randint(first, hi.numerator * q // hi.denominator), q)
+    return rng.randint(first, hi.numerator * q // hi.denominator), q
+
+
+def random_scalar(
+    rng: random.Random, lo: Fraction, hi: Fraction, qmax: int
+) -> Fraction:
+    return Fraction(*_random_ratio(rng, lo, hi, qmax))
 
 
 def random_lambda(rng: random.Random, qmax: int = 16) -> Fraction:
@@ -152,14 +161,16 @@ def random_point_set(
     max_points: int = MAX_POINTS,
 ) -> PointSet:
     k = rng.randint(min_points, max_points)
-    # (numerator, denominator) keys: a Fraction's hash takes a modular inverse
-    accepted: dict[tuple[int, int], Fraction] = {}
+    # reduced (numerator, denominator) pairs: no Fraction per draw
+    accepted: set[tuple[int, int]] = set()
     attempts = 0
     while len(accepted) < k and attempts < 64 * k:
         attempts += 1
-        c = random_scalar(rng, cfg.window.lo, cfg.window.hi, DENOMINATOR_BOUND)
-        accepted[c.numerator, c.denominator] = c
-    return PointSet(tuple(sorted(accepted.values())))
+        p, q = _random_ratio(rng, cfg.window.lo, cfg.window.hi, DENOMINATOR_BOUND)
+        g = gcd(p, q)
+        accepted.add((p // g, q // g))
+    ints, den = _over_lcm(list(accepted))
+    return PointSet.from_ints(sorted(ints), den)
 
 
 def random_metric_space(

@@ -35,11 +35,10 @@ from .geometry import (
 def f_map(lam: ScalarLike) -> Fraction | None:
     """Exact lam/(1-lam) on [0, 1); None at lam = 1, where it is infinite."""
     v = as_scalar(lam)
-    if not 0 <= v <= 1:
+    n, d = v.numerator, v.denominator
+    if not 0 <= n <= d:
         raise ValueError("lam must lie in [0, 1]")
-    if v == 1:
-        return None
-    return v / (1 - v)
+    return None if n == d else Fraction(n, d - n)
 
 
 def _deformations(

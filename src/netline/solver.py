@@ -173,6 +173,7 @@ def gh_exact(
 
     if best_val > lower_int:
         dfs(0, 0, 0, 0)
+    del dfs  # the recursive closure is a reference cycle through its cell
 
     exact = Fraction(best_val, 2 * den)
     return GHResult(exact, exact, exact, nodes, Correspondence.of(best_pairs, n, m))
@@ -444,6 +445,7 @@ def gh_branch_bound(
         steps = [[(i, j) for j in range(m) if live[i] >> j & 1] for i in order] + [None]
         cols = [[(i, j) for i in range(n) if live[i] >> j & 1] for j in range(m)]
         search(0, 0)
+    del search  # the recursive closure is a reference cycle through its cell
 
     # the search may have lowered the incumbent to a value refinement refutes
     low = _refined_bound(dx, dy, lower_int, best_val + 1) if truncated else best_val

@@ -292,11 +292,17 @@ def reference_point_set(rng, window, min_points=1, max_points=6):
     return PointSet(tuple(sorted(accepted)))
 
 
-@pytest.mark.parametrize("lo,hi", [(F(-7, 3), F(5, 2)), (F(-10), F(-1, 3))])
+@pytest.mark.parametrize(
+    "lo,hi",
+    [(F(-7, 3), F(5, 2)), (F(-10), F(-1, 3)), (F(0), F(10)), (F(1, 3), F(29, 4))],
+)
 def test_generator_draws_match_ceil_floor_reference(lo, hi):
     cfg = GeneratorConfig(window=Window(lo, hi))
     ours, ref = random.Random(5), random.Random(5)
     for _ in range(300):
         drawn = harness.random_point_set(ours, cfg)
-        assert drawn == reference_point_set(ref, cfg.window)
+        expected = reference_point_set(ref, cfg.window)
+        assert drawn == expected
+        assert drawn.points == expected.points
+        assert hash(drawn) == hash(expected)
     assert ours.random() == ref.random()

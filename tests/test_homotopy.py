@@ -39,6 +39,19 @@ def test_f_map_values():
         f_map(F(5, 4))
     with pytest.raises(ValueError):
         f_map(F(-1, 4))
+    for q in range(1, 33):
+        for a in range(q):
+            lam = F(a, q)
+            assert f_map(lam) == lam / (1 - lam)
+    for one in (1, "1", F(7, 7)):
+        assert f_map(one) is None
+    # ints, strings and Fractions coerce alike
+    assert f_map(0) == f_map("-0") == f_map(F(0)) == 0
+    assert f_map("3/4") == f_map(F(3, 4)) == 3
+    assert f_map("0.25") == F(1, 3)
+    for bad in (F(-1, 64), F(65, 64)):
+        with pytest.raises(ValueError, match=r"^lam must lie in \[0, 1\]$"):
+            f_map(bad)
 
 
 def test_contract_endpoints_and_example():
