@@ -28,7 +28,11 @@ subgraph isomorphism, applied to correspondences) deletes every cell that
 no correspondence of distortion below t can hold; an emptied row proves
 the least distortion is at least t.  Its first pass keeps exactly the cells
 whose distance rows lie at Hausdorff distance below t (the profile filter
-of Memoli, 2012), so it subsumes the profile lower bound.
+of Memoli, 2012), so it subsumes the profile lower bound.  Singleton
+refinement probes each live cell by assuming it and refining from there;
+it is the root proof step of the staircase on line pairs.  Matrix pairs
+keep plain refinement, because on band metrics the probes closed no pair
+and cost several times the search.  Neither counts a search node.
 """
 
 from __future__ import annotations
@@ -179,38 +183,44 @@ def gh_exact(
     return GHResult(exact, exact, exact, nodes, Correspondence.of(best_pairs, n, m))
 
 
-def _refine(dx: list[list[int]], dy: list[list[int]], t: int) -> list[int] | None:
-    """Live columns of each X row after refinement at ``t``; None once a
-    row empties, which proves that no correspondence has distortion < t.
-
-    A cell (i, j) stays live while every row i2 has a live (i2, j2) with
-    | dx[i][i2] - dy[j][j2] | < t and those j2 cover every column, as each
-    cell of such a correspondence does.  The fixpoint is the greatest one
-    whatever the order, so refutation is monotone in ``t``.
-    """
-    n, m = len(dx), len(dy)
-    full = (1 << m) - 1
+def _near(dx: list[list[int]], dy: list[list[int]], t: int) -> list[dict[int, int]]:
+    """near[j][a]: the columns j2 with | a - dy[j][j2] | < t, for every
+    distance a in ``dx``, as two prefix-ORs over the sorted Y row."""
     values = {a for row in dx for a in row}
-    # near[j][a]: columns j2 with | a - dy[j][j2] | < t, as two prefix-ORs
     near = []
     for row in dy:
-        order = sorted(range(m), key=row.__getitem__)
+        order = sorted(range(len(row)), key=row.__getitem__)
         keys = [row[j] for j in order]
         prefix = [0]
         for j in order:
             prefix.append(prefix[-1] | 1 << j)
         near.append({a: prefix[bisect_left(keys, a + t)]
                      & ~prefix[bisect_right(keys, a - t)] for a in values})
-    live = [full] * n
+    return near
+
+
+def _fixpoint(dx: list[list[int]], near: list[dict[int, int]], live: list[int]) -> bool:
+    """Refine ``live``, the live columns of each X row, in place; False once
+    a row empties, which proves that no correspondence inside ``live`` has
+    distortion below the threshold of ``near``.
+
+    A cell (i, j) stays live while every row i2 has a live (i2, j2) with
+    | dx[i][i2] - dy[j][j2] | < t and those j2 cover every column, as each
+    cell of such a correspondence does.  A dead cell leaves ``live`` at
+    once.  The result is the greatest fixpoint below the start whatever
+    the order, so refutation is monotone in t.
+    """
+    full = (1 << len(near)) - 1
+    if not all(live):
+        return False
     changed = True
     while changed:
         changed = False
         for i, row_x in enumerate(dx):
             keep = live[i]
-            for j in range(m):
+            for j, near_j in enumerate(near):
                 if not keep >> j & 1:
                     continue
-                near_j = near[j]
                 cover = 0
                 for i2, a in enumerate(row_x):
                     s = live[i2] & near_j[a]
@@ -221,11 +231,52 @@ def _refine(dx: list[list[int]], dy: list[list[int]], t: int) -> list[int] | Non
                     if cover == full:
                         continue
                 keep &= ~(1 << j)
-            if keep != live[i]:
                 if not keep:
-                    return None
+                    return False
                 live[i] = keep
                 changed = True
+    return True
+
+
+def _refine(dx: list[list[int]], dy: list[list[int]], t: int) -> list[int] | None:
+    """Live columns of each X row after refinement at ``t`` from the full
+    relation; None once a row empties (see ``_fixpoint``)."""
+    live = [(1 << len(dy)) - 1] * len(dx)
+    return live if _fixpoint(dx, _near(dx, dy, t), live) else None
+
+
+def _singleton_refine(
+    dx: list[list[int]], dy: list[list[int]], t: int
+) -> list[int] | None:
+    """Refinement at ``t`` tightened by singleton probes (singleton arc
+    consistency; Debruyne and Bessiere, 1997); None once a row empties.
+
+    The probe of a live cell (i, j) assumes it is in the correspondence:
+    every row i2, row i included, keeps the columns j2 with
+    | dx[i][i2] - dy[j][j2] | < t, since a row may hold several columns.
+    A correspondence of distortion below t that holds (i, j) lies inside
+    that state and survives its fixpoint, so a probe that empties a row
+    deletes (i, j); the fixpoint then runs again on ``live``.  Probes
+    repeat until none deletes a cell.
+    """
+    near = _near(dx, dy, t)
+    live = [(1 << len(dy)) - 1] * len(dx)
+    if not _fixpoint(dx, near, live):
+        return None
+    deleted = True
+    while deleted:
+        deleted = False
+        for i, row_x in enumerate(dx):
+            for j, near_j in enumerate(near):
+                if not live[i] >> j & 1:
+                    continue
+                probe = [cols & near_j[a] for cols, a in zip(live, row_x)]
+                if _fixpoint(dx, near, probe):
+                    continue
+                live[i] &= ~(1 << j)
+                if not _fixpoint(dx, near, live):
+                    return None
+                deleted = True
     return live
 
 
@@ -364,7 +415,10 @@ def gh_branch_bound(
     It starts from the seeded incumbent and diameter bound of ``_start``.
     While the gap is open, the best staircase of two line spaces replaces
     the incumbent when strictly better, and refinement at the incumbent
-    either proves it optimal, with no node, or leaves the live cells.
+    either proves it optimal, with no node, or leaves the live cells.  On
+    two line spaces that step is singleton refinement, the root proof of
+    the staircase; matrix pairs take plain refinement, since on band
+    metrics the probes closed no pair and cost several times the search.
 
     One recursive search walks a list of steps, each fixing one index of the
     next pair: first every X row in decreasing eccentricity, then, once
@@ -379,6 +433,7 @@ def gh_branch_bound(
     n, m = x.n, y.n
     den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
 
+    refine = _refine
     if best_val > lower_int and x.line_coords is not None and y.line_coords is not None:
         # row 0 stands in for the coordinates: it only shifts every offset
         found = _best_staircase(dx[0], dy[0], best_val)
@@ -386,7 +441,8 @@ def gh_branch_bound(
             stair_val, _ = int_distortion(found[1], dx, dy)
             if stair_val < best_val:
                 best_val, best_pairs = stair_val, found[1]
-    live = _refine(dx, dy, best_val) if best_val > lower_int else None
+        refine = _singleton_refine
+    live = refine(dx, dy, best_val) if best_val > lower_int else None
     if live is None:
         lower_int = best_val
 

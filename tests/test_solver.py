@@ -32,6 +32,7 @@ from netline.solver import (
     GHResult,
     _reach,
     _refine,
+    _singleton_refine,
     gh_lower_bound,
     staircase_bound,
 )
@@ -315,6 +316,7 @@ def test_refinement_is_sound_and_monotone():
             least = 2 * den * gh_exact(x, y).exact
             # the optimal correspondence survives one unit above its distortion
             assert _refine(dx, dy, least + 1) is not None
+            assert _singleton_refine(dx, dy, least + 1) is not None
             low = 2 * den * gh_lower_bound(x, y)
             assert max(abs(max(map(max, dx)) - max(map(max, dy))),
                        profile_bound(dx, dy)) <= low <= least
@@ -327,6 +329,62 @@ def test_refinement_is_sound_and_monotone():
                     assert live is not None
                     assert all(a & ~b == 0 for a, b in zip(prev, live))
                 prev = live
+                # singleton probes only delete more
+                sac = _singleton_refine(dx, dy, t)
+                if sac is not None:
+                    assert live is not None
+                    assert all(a & ~b == 0 for a, b in zip(sac, live))
+
+
+def arc_consistent(dx, dy, t, cells):
+    """Greatest subset of ``cells`` in which each cell (i, j) has, in every
+    row, a cell (i2, j2) with |dx[i][i2] - dy[j][j2]| < t, and those cells
+    cover every column; None once a row empties."""
+    rows, cols = set(range(len(dx))), set(range(len(dy)))
+    cells = set(cells)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in sorted(cells):
+            near = {(i2, j2) for i2, j2 in cells if abs(dx[i][i2] - dy[j][j2]) < t}
+            if {i2 for i2, _ in near} != rows or {j2 for _, j2 in near} != cols:
+                cells.discard((i, j))
+                changed = True
+    return cells if {i for i, _ in cells} == rows else None
+
+
+def singleton_reference(dx, dy, t):
+    """Singleton refinement by its definition, as live-column masks: delete
+    a cell when assuming it refutes, and refine again from scratch."""
+    n, m = len(dx), len(dy)
+    cells = arc_consistent(dx, dy, t, [(i, j) for i in range(n) for j in range(m)])
+    deleted = True
+    while cells is not None and deleted:
+        deleted = False
+        for i, j in sorted(cells):
+            probe = {(i2, j2) for i2, j2 in cells if abs(dx[i][i2] - dy[j][j2]) < t}
+            if arc_consistent(dx, dy, t, probe) is None:
+                cells = arc_consistent(dx, dy, t, cells - {(i, j)})
+                deleted = True
+                break
+    if cells is None:
+        return None
+    return [sum(1 << j for j in range(m) if (i, j) in cells) for i in range(n)]
+
+
+def test_singleton_refinement_matches_its_definition():
+    for kind in ("line", "matrix"):
+        for x, y in random_pairs(44, 120, kind):
+            den, dx, dy = scaled_int_matrices(x, y)
+            least = 2 * den * gh_exact(x, y).exact
+            for t in (least, least + 1):
+                assert _singleton_refine(dx, dy, t) == singleton_reference(dx, dy, t)
+    # on this pair a probe that keeps distances equal to t, not only below
+    # it, leaves more cells live at t = 8 (least distortion 6)
+    den, dx, dy = scaled_int_matrices(line(0, 5, 7), line(0, 2, 4, 5, 7, 8))
+    assert den == 2 and _singleton_refine(dx, dy, 8) == [0b110011, 0b011110, 0b110011]
+    for t in range(1, 20):
+        assert _singleton_refine(dx, dy, t) == singleton_reference(dx, dy, t)
 
 
 def test_refinement_closes_a_pair_the_search_left_open():
@@ -338,6 +396,19 @@ def test_refinement_closes_a_pair_the_search_left_open():
     assert res.exact == F(5, 2) and res.nodes_explored == 0
     assert gh_lower_bound(x, y) == F(5, 2)
     assert distortion(res.upper_witness, x, y).value == 5
+
+
+def test_singleton_refinement_closes_a_pair_refinement_leaves_open():
+    # quality instance 37: refinement leaves the staircase unproved, and the
+    # search alone needs 1,648 nodes to prove it; singleton probes need none
+    x = line(1, 5, 7, 10, 14, 17, 18, 23, 24, 33)
+    y = line(9, 13, 17, 18, 29, 32, 33, 36)
+    den, dx, dy = scaled_int_matrices(x, y)
+    assert _refine(dx, dy, 8 * den) is not None
+    assert _singleton_refine(dx, dy, 8 * den) is None
+    res = gh_branch_bound(x, y, budget=0)
+    assert res.exact == 4 and res.nodes_explored == 0
+    assert gh_branch_bound(x, y) == res
 
 
 def test_staircase_needs_line_spaces():
