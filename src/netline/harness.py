@@ -131,15 +131,18 @@ def _instance_json(check: Check, instance: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # generators
+#
+# Hot draws call rng.randrange(a, b + 1): it is what rng.randint(a, b) calls,
+# so the stream is the same, without randint's extra Python frame.
 
 
 def _random_ratio(
     rng: random.Random, lo: Fraction, hi: Fraction, qmax: int
 ) -> tuple[int, int]:
-    q = rng.randint(1, qmax)
+    q = rng.randrange(1, qmax + 1)
     # ceil(lo·q) and floor(hi·q), from numerators and denominators
     first = -(-lo.numerator * q // lo.denominator)
-    return rng.randint(first, hi.numerator * q // hi.denominator), q
+    return rng.randrange(first, hi.numerator * q // hi.denominator + 1), q
 
 
 def random_scalar(
@@ -150,8 +153,8 @@ def random_scalar(
 
 def random_lambda(rng: random.Random, qmax: int = 16) -> Fraction:
     """A rational in [0, 1) with small denominator."""
-    q = rng.randint(2, qmax)
-    return Fraction(rng.randint(0, q - 1), q)
+    q = rng.randrange(2, qmax + 1)
+    return Fraction(rng.randrange(0, q), q)
 
 
 def random_point_set(
@@ -160,7 +163,7 @@ def random_point_set(
     min_points: int = MIN_POINTS,
     max_points: int = MAX_POINTS,
 ) -> PointSet:
-    k = rng.randint(min_points, max_points)
+    k = rng.randrange(min_points, max_points + 1)
     # reduced (numerator, denominator) pairs: no Fraction per draw
     accepted: set[tuple[int, int]] = set()
     attempts = 0
@@ -178,18 +181,18 @@ def random_metric_space(
 ) -> FiniteMetricSpace:
     """Either a line subset or a "band" metric whose distances all sit in a
     2:1 range, so the triangle inequality holds for free."""
-    n = rng.randint(1, max_points)
+    n = rng.randrange(1, max_points + 1)
     if n == 1:
         return FiniteMetricSpace.singleton()
     if rng.random() < 0.5:
         pts = random_point_set(rng, cfg, min_points=n, max_points=n)
         return FiniteMetricSpace.from_line(pts)
-    q = rng.randint(1, DENOMINATOR_BOUND)
+    q = rng.randrange(1, DENOMINATOR_BOUND + 1)
     scale = random_scalar(rng, Fraction(1, 2), Fraction(3), 8)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            d = scale * Fraction(q + rng.randint(0, q), q)
+            d = scale * Fraction(q + rng.randrange(0, q + 1), q)
             rows[i][j] = rows[j][i] = d
     return FiniteMetricSpace(tuple(tuple(row) for row in rows))
 
@@ -405,7 +408,7 @@ def _jittered_grid(
 ) -> PointSet:
     pts = []
     for k in range(n):
-        jitter = Fraction(rng.randint(-jitter_den, jitter_den), 16 * jitter_den)
+        jitter = Fraction(rng.randrange(-jitter_den, jitter_den + 1), 16 * jitter_den)
         pts.append(k * spacing + jitter * spacing)
     return PointSet(tuple(pts))
 
@@ -430,7 +433,7 @@ def _draw_order_lemmas(rng, cfg, index):
     # independent per-point jitter: nontrivial distortion, but far below
     # half the separation, so the hypothesis holds by construction
     y = PointSet(
-        tuple(p + Fraction(rng.randint(-2, 2), 64) * spacing for p in x.points)
+        tuple(p + Fraction(rng.randrange(-2, 3), 64) * spacing for p in x.points)
     )
     items = [(_check_betweenness, {"x": x, "y": y})]
     if index % 4 == 0:
