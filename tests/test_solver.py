@@ -380,9 +380,8 @@ def test_singleton_refinement_matches_its_definition():
             for t in (least, least + 1):
                 assert _singleton_refine(dx, dy, t) == singleton_reference(dx, dy, t)
     # on this pair a probe that keeps distances equal to t, not only below
-    # it, leaves more cells live at t = 8 (least distortion 6)
-    den, dx, dy = scaled_int_matrices(line(0, 5, 7), line(0, 2, 4, 5, 7, 8))
-    assert den == 2 and _singleton_refine(dx, dy, 8) == [0b110011, 0b011110, 0b110011]
+    # it, leaves more cells live at t = 8 (least distortion 6, den 2)
+    _, dx, dy = scaled_int_matrices(line(0, 5, 7), line(0, 2, 4, 5, 7, 8))
     for t in range(1, 20):
         assert _singleton_refine(dx, dy, t) == singleton_reference(dx, dy, t)
 
