@@ -345,8 +345,9 @@ def _draw_gh_bounds(rng, cfg, index):
     """The solver's polynomial bounds bracket the exact GH distance.
 
     The refinement lower bound never exceeds ``gh_exact``; for two line spaces
-    the staircase upper bound never falls below it, and its correspondence
-    has exactly the distortion the staircase DP reports.
+    the staircase upper bound lies between it and 5/4 of it (Majhi, Vitter
+    and Wenk, arXiv:1912.13008), and its correspondence has exactly the
+    distortion the staircase sweep reports.
     """
     return [(_check_gh_bounds, _space_pair(rng, cfg))]
 
@@ -365,6 +366,8 @@ def _check_gh_bounds(tally, x, y):
     tally["staircase tight"] += high == value
     if high < value:
         return f"staircase bound {high} is below d_GH {value}"
+    if 4 * high > 5 * value:
+        return f"staircase bound {high} exceeds 5/4 of d_GH {value}"
     if distortion(corr, x, y).value != 2 * high:
         return f"staircase correspondence does not attain {high}"
     return None

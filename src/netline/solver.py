@@ -14,25 +14,25 @@ Two independent routes to the same minimum:
 
 Both report d_GH = (min distortion)/2 with the minimizing correspondence.
 They share one start, ``_start`` (int matrices, diameter lower bound and a
-seeded incumbent), and one search step: the partial distortion once a pair
-joins the pairs chosen so far, ``_reach`` in ``gh_exact`` and inlined in the
-candidate scan of ``gh_branch_bound``.  A partial distortion is only ever
-compared with the incumbent, so each scan stops at the first value that
-reaches it: a capped value prunes exactly as the full one would, and
-results and node counts do not depend on where a scan stops.
+seeded incumbent, on line pairs the best monotone staircase), and one
+search step: the partial distortion once a pair joins the pairs chosen so
+far, ``_reach`` in ``gh_exact`` and inlined in the candidate scan of
+``gh_branch_bound``.  A partial distortion is only ever compared with the
+incumbent, so each scan stops at the first value that reaches it: a capped
+value prunes exactly as the full one would, and results and node counts do
+not depend on where a scan stops.
 
-Branch-and-bound also uses two polynomial tools.  The staircase upper
-bound, for line spaces, is the best monotone correspondence, found by a
-bottleneck DP.  Refinement at a threshold t (Ullmann's 1976 refinement for
-subgraph isomorphism, applied to correspondences) deletes every cell that
-no correspondence of distortion below t can hold; an emptied row proves
-the least distortion is at least t.  Its first pass keeps exactly the cells
-whose distance rows lie at Hausdorff distance below t (the profile filter
-of Memoli, 2012), so it subsumes the profile lower bound.  Singleton
-refinement probes each live cell by assuming it and refining from there;
-it is the root proof step of the staircase on line pairs.  Matrix pairs
-keep plain refinement, because on band metrics the probes closed no pair
-and cost several times the search.  Neither counts a search node.
+Branch-and-bound also refines.  Refinement at a threshold t (Ullmann's
+1976 refinement for subgraph isomorphism, applied to correspondences)
+deletes every cell that no correspondence of distortion below t can hold;
+an emptied row proves the least distortion is at least t.  Its first pass
+keeps exactly the cells whose distance rows lie at Hausdorff distance
+below t (the profile filter of Memoli, 2012), so it subsumes the profile
+lower bound.  Singleton refinement probes each live cell by assuming it
+and refining from there; it is the root proof step of the staircase on
+line pairs.  Matrix pairs keep plain refinement, because on band metrics
+the probes closed no pair and cost several times the search.  Neither
+counts a search node.
 """
 
 from __future__ import annotations
@@ -80,26 +80,28 @@ def _start(
     """(den, dx, dy, |diam X - diam Y|, incumbent value, incumbent pairs).
 
     The incumbent is the best of the full relation, whose distortion is the
-    larger diameter, and cheap seeds that are usually much tighter: the
-    nearest-point correspondence of two line spaces and, for equal sizes,
-    the identity and the reversal.
+    larger diameter, and a cheap seed that is usually much tighter: for two
+    line spaces the best staircase, which the nearest-point correspondence,
+    the identity and the reversal can only match, since each of them is an
+    increasing or decreasing staircase; for other pairs of equal size the
+    identity and the reversal.
     """
     n, m = x.n, y.n
     den, dx, dy = scaled_int_matrices(x, y)
     diam_x, diam_y = max(map(max, dx)), max(map(max, dy))
     best_val = max(diam_x, diam_y)
     best_pairs: Sequence[Pair] = [(i, j) for i in range(n) for j in range(m)]
-    seeds: list[Sequence[Pair]] = []
     if x.line_coords is not None and y.line_coords is not None:
-        seeds.append(Correspondence.nearest(x.line_coords, y.line_coords).pairs)
-    if n == m:
-        seeds.append([(i, i) for i in range(n)])
-        seeds.append([(i, n - 1 - i) for i in range(n)])
-    for seed in seeds:
-        seed_val, _ = int_distortion(seed, dx, dy)
-        if seed_val < best_val:
-            best_val = seed_val
-            best_pairs = seed
+        # row 0 stands in for the coordinates: it only shifts every offset
+        found = _best_staircase(dx[0], dy[0], best_val)
+        if found is not None:
+            best_val, best_pairs = found
+    elif n == m:
+        for seed in ([(i, i) for i in range(n)], [(i, n - 1 - i) for i in range(n)]):
+            seed_val, _ = int_distortion(seed, dx, dy)
+            if seed_val < best_val:
+                best_val = seed_val
+                best_pairs = seed
     return den, dx, dy, abs(diam_x - diam_y), best_val, best_pairs
 
 
@@ -185,8 +187,9 @@ def gh_exact(
 
 def _near(dx: list[list[int]], dy: list[list[int]], t: int) -> list[dict[int, int]]:
     """near[j][a]: the columns j2 with | a - dy[j][j2] | < t, for every
-    distance a in ``dx``, as two prefix-ORs over the sorted Y row."""
-    values = {a for row in dx for a in row}
+    distance a in ``dx``, as two prefix-ORs over the sorted Y row, whose
+    ends a merge with the sorted distances finds."""
+    values = sorted({a for row in dx for a in row})
     near = []
     for row in dy:
         order = sorted(range(len(row)), key=row.__getitem__)
@@ -194,8 +197,16 @@ def _near(dx: list[list[int]], dy: list[list[int]], t: int) -> list[dict[int, in
         prefix = [0]
         for j in order:
             prefix.append(prefix[-1] | 1 << j)
-        near.append({a: prefix[bisect_left(keys, a + t)]
-                     & ~prefix[bisect_right(keys, a - t)] for a in values})
+        keys.append(values[-1] + t + 1)  # a sentinel that neither end passes
+        table = {}
+        lo = hi = 0  # keys[:hi] are below a + t, keys[:lo] at most a - t
+        for a in values:
+            while keys[hi] < a + t:
+                hi += 1
+            while keys[lo] <= a - t:
+                lo += 1
+            table[a] = prefix[hi] & ~prefix[lo]
+        near.append(table)
     return near
 
 
@@ -305,64 +316,48 @@ def _staircase(
     A monotone lattice path from (0, 0) to (n-1, m-1) covers every row and
     column, and for two of its cells |(x_i' - x_i) - (y_j' - y_j)| is the
     difference of the offsets o(i, j) = x_i - y_j, so its distortion is the
-    range of its offsets.  For each candidate minimum offset ``lo``, taken
-    downward, a bottleneck DP finds the least maximum offset over paths
-    whose offsets all lie in [lo, lo + cap); the scan stops once the path
-    ends alone span ``cap``.  Returns (distortion, path).  Half the lesser
-    of the increasing and decreasing values is d_H,iso, the Hausdorff
-    distance under translation and reflection, and d_GH <= d_H,iso <=
-    (5/4) d_GH on the line (Majhi, Vitter and Wenk, arXiv:1912.13008); the
-    two have agreed on every line pair tried.
+    range of its offsets.  In a band lo <= o <= lo + w the admissible
+    columns of each row form one run, and the runs move right row by row,
+    so a path exists iff every row and every column has an admissible cell.
+    The least such w pairs each x with its last y at or below x - lo and
+    each y with its first x at or above y + lo; those picks cross nowhere,
+    and together they are the path.  The sweep takes the offsets lo at or
+    below both path ends downward, keeps the narrowest band, and stops once
+    the path ends alone span ``cap``.  Returns (distortion, path).  Half the
+    lesser of the increasing and decreasing values is d_H,iso, the Hausdorff
+    distance under translation and reflection, and d_GH <= d_H,iso <= (5/4)
+    d_GH on the line (Majhi, Vitter and Wenk, arXiv:1912.13008); the two
+    have agreed on every line pair tried.
     """
-    n, m = len(xs), len(ys)
-    off = [[a - b for b in ys] for a in xs]
-    start, end = off[0][0], off[n - 1][m - 1]
-    top = max(start, end)
-    low_ends = {o for row in off for o in row if o <= min(start, end)}
-    best = None
-    for lo in sorted(low_ends, reverse=True):
+    start, end = xs[0] - ys[0], xs[-1] - ys[-1]
+    top, floor = max(start, end), min(start, end)
+    best_lo = None
+    # lo <= start and lo <= end, so no row or column lacks its pick
+    for lo in sorted({a - b for a in xs for b in ys if a - b <= floor}, reverse=True):
         if top - lo >= cap:
             break
-        hi = lo + cap
-        # f[i][j]: least maximum offset of an admissible path to (i, j)
-        f: list[list[int | None]] = []
-        prev: list[int | None] = [None] * m
-        for i in range(n):
-            row = off[i]
-            cur: list[int | None] = [None] * m
-            for j in range(m):
-                o = row[j]
-                if o < lo or o >= hi:
-                    continue
-                if i == 0 and j == 0:
-                    cur[0] = o
-                    continue
-                b = prev[j]
-                if j:
-                    for c in (cur[j - 1], prev[j - 1]):
-                        if c is not None and (b is None or c < b):
-                            b = c
-                if b is not None:
-                    cur[j] = o if o > b else b
-            f.append(cur)
-            prev = cur
-        reach = f[n - 1][m - 1]
-        if reach is None:
+        w = 0  # the least width, unless a pick reaches cap
+        for a in xs:
+            v = a - lo - ys[bisect_right(ys, a - lo) - 1]
+            if v > w:
+                w = v
+                if w >= cap:
+                    break
+        if w >= cap:
             continue
-        cap = reach - lo
-        # walk back through predecessors of least f, diagonal first on ties
-        i, j = n - 1, m - 1
-        path = [(i, j)]
-        while i or j:
-            steps = [
-                (a, b)
-                for a, b in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
-                if a >= 0 and b >= 0 and f[a][b] is not None
-            ]
-            i, j = min(steps, key=lambda s: f[s[0]][s[1]])
-            path.append((i, j))
-        best = (cap, path[::-1])
-    return best
+        for b in ys:
+            v = xs[bisect_left(xs, b + lo)] - b - lo
+            if v > w:
+                w = v
+                if w >= cap:
+                    break
+        if w < cap:
+            cap, best_lo = w, lo
+    if best_lo is None:
+        return None
+    path = {(i, bisect_right(ys, a - best_lo) - 1) for i, a in enumerate(xs)}
+    path |= {(bisect_left(xs, b + best_lo), j) for j, b in enumerate(ys)}
+    return cap, sorted(path)
 
 
 def _best_staircase(
@@ -392,7 +387,7 @@ def staircase_bound(
     """Upper bound on d_GH of two line spaces from the best monotone
     staircase correspondence, with that correspondence.
 
-    The value is the one the DP reports (half the offset range), not a
+    The value is the one the sweep reports (half the band width), not a
     recomputed distortion, so callers can check the two against each other.
     """
     if x.line_coords is None or y.line_coords is None:
@@ -413,12 +408,11 @@ def gh_branch_bound(
     """Branch-and-bound over image assignments with certified bounds.
 
     It starts from the seeded incumbent and diameter bound of ``_start``.
-    While the gap is open, the best staircase of two line spaces replaces
-    the incumbent when strictly better, and refinement at the incumbent
-    either proves it optimal, with no node, or leaves the live cells.  On
-    two line spaces that step is singleton refinement, the root proof of
-    the staircase; matrix pairs take plain refinement, since on band
-    metrics the probes closed no pair and cost several times the search.
+    While the gap is open, refinement at the incumbent either proves it
+    optimal, with no node, or leaves the live cells.  On two line spaces
+    that step is singleton refinement, the root proof of the staircase
+    seed; matrix pairs take plain refinement, since on band metrics the
+    probes closed no pair and cost several times the search.
 
     One recursive search walks a list of steps, each fixing one index of the
     next pair: first every X row in decreasing eccentricity, then, once
@@ -433,15 +427,8 @@ def gh_branch_bound(
     n, m = x.n, y.n
     den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
 
-    refine = _refine
-    if best_val > lower_int and x.line_coords is not None and y.line_coords is not None:
-        # row 0 stands in for the coordinates: it only shifts every offset
-        found = _best_staircase(dx[0], dy[0], best_val)
-        if found is not None:
-            stair_val, _ = int_distortion(found[1], dx, dy)
-            if stair_val < best_val:
-                best_val, best_pairs = stair_val, found[1]
-        refine = _singleton_refine
+    line_pair = x.line_coords is not None and y.line_coords is not None
+    refine = _singleton_refine if line_pair else _refine
     live = refine(dx, dy, best_val) if best_val > lower_int else None
     if live is None:
         lower_int = best_val

@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from netline import (
+    Correspondence,
     GeneratorConfig,
     PointSet,
     Window,
@@ -76,6 +77,18 @@ def test_gh_bounds_suite_passes_and_serialises_failures(monkeypatch):
     doc = json.loads(rep.failures[0].instance)
     assert doc.keys() == {"check", "x", "y"} and doc["check"] == "check_gh_bounds"
     assert "refinement bound" in rep.failures[0].detail
+
+
+def test_gh_bounds_refuses_a_staircase_above_five_quarters(monkeypatch):
+    # on X = Y = {0, 10} d_GH is 0, and the full relation has distortion
+    # 10: its true value 5 is above d_GH, so only the 5/4 check refuses it
+    x = FiniteMetricSpace.from_line(PointSet.of([0, 10]))
+    full = Correspondence.of([(i, j) for i in range(2) for j in range(2)], 2, 2)
+    monkeypatch.setattr(harness, "staircase_bound", lambda x, y: (F(5), full))
+    tally = Tally()
+    assert harness._check_gh_bounds(tally, x, x) == (
+        "staircase bound 5 exceeds 5/4 of d_GH 0")
+    assert tally["line pairs"] == 1
 
 
 def test_shrinking_reaches_a_minimal_culprit():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -28,11 +29,14 @@ from netline.harness import (
     random_scalar,
 )
 from netline.correspondence import int_distortion, scaled_int_matrices
+from netline import solver
 from netline.solver import (
     GHResult,
+    _best_staircase,
     _reach,
     _refine,
     _singleton_refine,
+    _staircase,
     gh_lower_bound,
     staircase_bound,
 )
@@ -255,7 +259,7 @@ def test_polynomial_bounds_bracket_exact_on_line_pairs():
         assert abs(diam(x) - diam(y)) / 2 <= low <= exact
         high, corr = staircase_bound(x, y)
         assert exact <= high
-        # the DP's offset range is the true distortion of its staircase
+        # the sweep's band width is the true distortion of its staircase
         den, dx, dy = scaled_int_matrices(x, y)
         assert isinstance(corr, Correspondence)
         assert int_distortion(corr.pairs, dx, dy)[0] == 2 * den * high
@@ -408,6 +412,91 @@ def test_singleton_refinement_closes_a_pair_refinement_leaves_open():
     res = gh_branch_bound(x, y, budget=0)
     assert res.exact == 4 and res.nodes_explored == 0
     assert gh_branch_bound(x, y) == res
+
+
+def staircase_dp(xs, ys, cap):
+    """The least offset range of a monotone lattice path from (0, 0) to
+    (n-1, m-1) below ``cap``, or None, by a bottleneck DP, the reference for
+    the sweep: for each candidate least offset lo, taken downward, the least
+    greatest offset of a path whose offsets all lie in [lo, lo + cap)."""
+    n, m = len(xs), len(ys)
+    off = [[a - b for b in ys] for a in xs]
+    start, end = off[0][0], off[n - 1][m - 1]
+    top, floor = max(start, end), min(start, end)
+    best = None
+    for lo in sorted({o for row in off for o in row if o <= floor}, reverse=True):
+        if top - lo >= cap:
+            break
+        hi = lo + cap
+        # prev[j], cur[j]: least greatest offset of a path to (i - 1, j), (i, j)
+        prev = [None] * m
+        for i in range(n):
+            row = off[i]
+            cur = [None] * m
+            for j in range(m):
+                o = row[j]
+                if o < lo or o >= hi:
+                    continue
+                if i == 0 and j == 0:
+                    cur[0] = o
+                    continue
+                b = prev[j]
+                if j:
+                    for c in (cur[j - 1], prev[j - 1]):
+                        if c is not None and (b is None or c < b):
+                            b = c
+                if b is not None:
+                    cur[j] = o if o > b else b
+            prev = cur
+        if prev[m - 1] is not None:
+            cap = best = prev[m - 1] - lo
+    return best
+
+
+def best_staircase_dp(xs, ys, cap):
+    """The lesser of the increasing and the decreasing DP values."""
+    up = staircase_dp(xs, ys, cap)
+    down = staircase_dp(xs, [-v for v in reversed(ys)], cap if up is None else up)
+    return up if down is None else down
+
+
+def line_pairs_containing_zero(top, size):
+    sets = [(0, *rest) for k in range(size)
+            for rest in itertools.combinations(range(1, top + 1), k)]
+    return [(xs, ys) for xs in sets for ys in sets]
+
+
+def test_staircase_sweep_matches_the_bottleneck_dp():
+    rng = random.Random(45)
+    drawn = [[sorted(rng.sample(range(60), rng.randint(8, 16))) for _ in "xy"]
+             for _ in range(300)]
+    for xs, ys in line_pairs_containing_zero(9, 4) + drawn:
+        dx = [[abs(a - b) for b in xs] for a in xs]
+        dy = [[abs(a - b) for b in ys] for a in ys]
+        big = max(xs[-1] - xs[0], ys[-1] - ys[0]) + 1
+        for sweep, dp in ((_staircase, staircase_dp),
+                          (_best_staircase, best_staircase_dp)):
+            least = dp(xs, ys, big)
+            small = (least + 1) // 2 + 1
+            for cap, want in ((big, least), (small, dp(xs, ys, small))):
+                got = sweep(xs, ys, cap)
+                if want is None:
+                    assert got is None
+                    continue
+                value, pairs = got
+                assert value == want
+                corr = Correspondence.of(pairs, len(xs), len(ys))
+                assert int_distortion(corr.pairs, dx, dy)[0] == value
+
+
+def test_staircase_sweep_stops_where_the_ends_span_the_cap(monkeypatch):
+    # the path ends have offsets 0 and 2, so no band of width below 2 holds
+    # both, and the sweep ends before its first band
+    calls = []
+    monkeypatch.setattr(solver, "bisect_right", lambda *a: calls.append(a))
+    monkeypatch.setattr(solver, "bisect_left", lambda *a: calls.append(a))
+    assert _staircase([0, 3], [0, 1], 2) is None
+    assert calls == []
 
 
 def test_staircase_needs_line_spaces():
