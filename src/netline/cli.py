@@ -28,10 +28,10 @@ from .formats import (
     parse_metric_space,
     parse_scalar,
 )
-from .geometry import IntervalUnion, PointSet, Window, scalar_str
+from .geometry import IntervalUnion, PointSet, Window, hausdorff, scalar_str
 from .harness import SUITES
+from .homotopy import contract, trace_csv
 from .homotopy import trace as run_trace
-from .homotopy import trace_csv
 from .solver import EXHAUSTIVE_LIMIT, gh_branch_bound, gh_exact
 
 
@@ -65,8 +65,6 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def cmd_dist_h(args: argparse.Namespace) -> int:
-    from .geometry import hausdorff
-
     a = _as_hausdorff_operand(_load_space(args.a))
     b = _as_hausdorff_operand(_load_space(args.b))
     sys.stdout.write(scalar_str(hausdorff(a, b)) + "\n")
@@ -109,8 +107,6 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    from .homotopy import contract
-
     x = _load_space(args.x)
     if not isinstance(x, PointSet):
         raise FormatError(args.x, "contract expects a points document")

@@ -20,8 +20,7 @@ from .correspondence import (
     DistortionCertificate,
     FiniteMetricSpace,
     Pair,
-    _line_distances,
-    int_distortion,
+    distortion,
 )
 from .errors import PreconditionError
 from .geometry import (
@@ -46,10 +45,9 @@ def _certified(
 ) -> tuple[Correspondence, DistortionCertificate, FiniteMetricSpace, FiniteMetricSpace]:
     """The correspondence, its certificate and both line spaces over ``scale``."""
     corr = Correspondence.of(pairs, len(xs), len(ys))
-    value, witness = int_distortion(corr.pairs, *map(_line_distances, (xs, ys)))
     left, right = (FiniteMetricSpace.from_line(PointSet.from_ints(pts, scale))
                    for pts in (xs, ys))
-    return corr, DistortionCertificate(Fraction(value, scale), witness), left, right
+    return corr, distortion(corr, left, right), left, right
 
 
 class SegmentCorrespondence(NamedTuple):
@@ -139,8 +137,7 @@ def extend_correspondence(
     radius = f_map(lam_v)
     scale, (xs, ys, (ir, ih)) = _scaled(
         (x.ints, x.den), (xn.ints, xn.den), _form((radius, h)))
-    value, _ = int_distortion(r.pairs, *map(_line_distances, (xs, ys)))
-    base = Fraction(value, scale)
+    base = distortion(r, *map(FiniteMetricSpace.from_line, (x, xn))).value
     if not base < lam_v / 8:
         raise PreconditionError(
             f"dis r = {base} is not below lam/8 = {lam_v / 8}; "

@@ -190,7 +190,7 @@ class DistortionCertificate:
 RelationLike = Union[Relation, Correspondence]
 
 
-def _line_distances(xs: list[int]) -> list[list[int]]:
+def _line_distances(xs: Sequence[int]) -> list[list[int]]:
     return [[abs(a - b) for b in xs] for a in xs]
 
 
@@ -198,11 +198,14 @@ def scaled_int_matrices(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """Both matrices over a common denominator, as plain int matrices."""
-    if x.line_coords is not None and y.line_coords is not None:
-        xs, ys = x.line_coords, y.line_coords
+    xs, ys = x.line_coords, y.line_coords
+    if xs is not None and ys is not None:
         den, lines = _scaled((xs.ints, xs.den), (ys.ints, ys.den))
         return den, *map(_line_distances, lines)
-    den, rows = _scaled(*map(_form, x.dist + y.dist))
+    # a line space's rows: the distances of its ints, over its denominator
+    fx, fy = ([(row, p.den) for row in _line_distances(p.ints)] if p is not None
+              else map(_form, s.dist) for p, s in ((xs, x), (ys, y)))
+    den, rows = _scaled(*fx, *fy)
     return den, rows[: x.n], rows[x.n :]
 
 

@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 from typing import Any, Callable, Union
 
-from .correspondence import Correspondence, FiniteMetricSpace, distortion
+from .correspondence import Correspondence, FiniteMetricSpace, Relation, distortion
 from .geometry import IntervalUnion, PointSet, Window, _over_lcm, scalar_str
 from .solver import EXHAUSTIVE_LIMIT, GHResult, gh_exact
 
@@ -214,14 +214,26 @@ def gh_certificate_doc(
     return doc
 
 
+def _int_pairs(value: Any, location: str) -> list[tuple[int, int]]:
+    """A list of [i, j] index pairs as tuples; anything else is malformed."""
+    if not isinstance(value, list):
+        raise FormatError(location, "expected a list of index pairs")
+    for k, pair in enumerate(value):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(i) is int for i in pair)):  # no bool, no float
+            raise FormatError(f"{location}[{k}]", "expected a pair of integers")
+    return [tuple(pair) for pair in value]
+
+
 def verify_gh_certificate(doc: dict) -> bool:
     """Recompute the certificate's claims from its own payload.
 
-    The upper bound is always re-derived from the witnessed correspondence.
-    When |X|·|Y| is within the exhaustive limit the instance is also
-    re-solved with `gh_exact`, and bounds that do not bracket the true
-    distance are refused; an exact claim must equal both bounds, so it is
-    checked too.  Above the limit, the lower bound is trusted.
+    The upper bound is always re-derived from the correspondence, whose
+    witness must be two of its pairs that attain its distortion.  When
+    |X|·|Y| is within the exhaustive limit the instance is also re-solved
+    with `gh_exact`, and bounds that do not bracket the true distance are
+    refused.  An exact claim must equal both bounds and a bounds-only one
+    must carry none.  Above the limit, the lower bound is trusted.
     """
 
     def field(key: str) -> Any:
@@ -231,31 +243,29 @@ def verify_gh_certificate(doc: dict) -> bool:
     y = parse_metric_space(field("y"), "$.y")
     lower = parse_scalar(field("lower"), "$.lower")
     upper = parse_scalar(field("upper"), "$.upper")
+    status = field("status")
+    if status not in ("exact", "bounds-only"):
+        raise FormatError("$.status", f"expected exact or bounds-only, got {status!r}")
     if lower > upper:
         return False
     if x.n * y.n <= EXHAUSTIVE_LIMIT and not lower <= gh_exact(x, y).exact <= upper:
         return False
-    if "correspondence" not in doc:
-        return field("status") == "bounds-only"
-    pairs = doc["correspondence"]
-    if not isinstance(pairs, list):
-        raise FormatError("$.correspondence", "expected a list of index pairs")
-    for k, pair in enumerate(pairs):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(type(i) is int for i in pair)):  # no bool, no float
-            raise FormatError(f"$.correspondence[{k}]", "expected a pair of integers")
+    pairs = _int_pairs(field("correspondence"), "$.correspondence")
     try:
-        corr = Correspondence.of(map(tuple, pairs), x.n, y.n)
+        corr = Correspondence.of(pairs, x.n, y.n)
     except ValueError as exc:
         raise FormatError("$.correspondence", str(exc)) from None
+    witness = _int_pairs(field("witness"), "$.witness")
+    if len(witness) != 2:
+        raise FormatError("$.witness", "expected two index pairs")
     cert = distortion(corr, x, y)
     if cert.value != parse_scalar(field("distortion"), "$.distortion"):
         return False
-    # the witnessed correspondence realizes the upper bound
-    if cert.value != 2 * upper:
+    # the correspondence realizes the upper bound, and the witness attains it
+    if cert.value != 2 * upper or not set(witness) <= set(corr.pairs):
         return False
-    if field("status") == "exact":
-        exact = parse_scalar(field("exact"), "$.exact")
-        if not (lower == exact == upper):
-            return False
-    return True
+    if distortion(Relation.of(witness), x, y).value != cert.value:
+        return False
+    if status == "bounds-only":
+        return field("exact") is None
+    return lower == parse_scalar(field("exact"), "$.exact") == upper

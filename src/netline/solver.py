@@ -15,9 +15,8 @@ Two independent routes to the same minimum:
 Both report d_GH = (min distortion)/2 with the minimizing correspondence.
 They share one start, ``_start`` (int matrices, diameter lower bound and a
 seeded incumbent, on line pairs the best monotone staircase), and one
-search step: the partial distortion once a pair joins the pairs chosen so
-far, ``_reach`` in ``gh_exact`` and inlined in the candidate scan of
-``gh_branch_bound``.  A partial distortion is only ever compared with the
+search step, ``_reach``: the partial distortion once a pair joins the pairs
+chosen so far.  A partial distortion is only ever compared with the
 incumbent, so each scan stops at the first value that reaches it: a capped
 value prunes exactly as the full one would, and results and node counts do
 not depend on where a scan stops.
@@ -158,8 +157,6 @@ def gh_exact(
     def dfs(k: int, cur: int, rcov: int, ccov: int) -> None:
         nonlocal nodes, best_val, best_pairs
         nodes += 1
-        if best_val == lower_int:
-            return
         if (rcov | suf_row[k]) != full_row or (ccov | suf_col[k]) != full_col:
             return
         if k == nm:
@@ -385,20 +382,14 @@ def staircase_bound(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[Fraction, Correspondence]:
     """Upper bound on d_GH of two line spaces from the best monotone
-    staircase correspondence, with that correspondence.
+    staircase correspondence, with that correspondence: the seed of ``_start``.
 
     The value is the one the sweep reports (half the band width), not a
     recomputed distortion, so callers can check the two against each other.
     """
     if x.line_coords is None or y.line_coords is None:
         raise ValueError("staircase bounds need two line-embedded spaces")
-    den, dx, dy = scaled_int_matrices(x, y)
-    # every correspondence has distortion at most the larger diameter
-    cap = max(map(max, dx + dy)) + 1
-    # row 0 stands in for the coordinates: it only shifts every offset
-    found = _best_staircase(dx[0], dy[0], cap)
-    assert found is not None
-    value, pairs = found
+    den, _, _, _, value, pairs = _start(x, y)
     return Fraction(value, 2 * den), Correspondence.of(pairs, x.n, y.n)
 
 
@@ -455,21 +446,10 @@ def gh_branch_bound(
             steps[k + 1:] = [cols[j] for j in range(m) if j not in covered]
             search(k + 1, cur)
             return
-        # _reach inlined: a call per cell took 1.33-1.54 s against 1.16-1.40 s
-        # on the 567 quality and seed-1 gh-solve instances (2-core Xeon)
         cands = []
         for i, j in step:
-            row_x, row_y = dx[i], dy[j]
-            nd = cur
-            for i2, j2 in asg:
-                v = row_x[i2] - row_y[j2]
-                if v < 0:
-                    v = -v
-                if v > nd:
-                    if v >= best_val:
-                        break
-                    nd = v
-            else:
+            nd = _reach(cur, dx[i], dy[j], asg, best_val)
+            if nd < best_val:
                 cands.append((nd, i, j))
         cands.sort()
         for nd, i, j in cands:

@@ -270,3 +270,29 @@ def test_repeated_main_calls_leave_no_garbage(spaces, capsys):
     finally:
         gc.enable()
     assert capsys.readouterr().out == "2\n" * 3
+
+
+@pytest.mark.parametrize("command", [
+    ["contract", "{u}", "--lam", "1/2", "--window", "{w}"],
+    ["trace", "{u}", "--window", "{w}", "--grid", "0,1"],
+], ids=["contract", "trace"])
+def test_deformation_of_an_intervals_document_exits_2(command, tmp_path, capsys):
+    u = write(tmp_path / "u.json", {"kind": "intervals", "intervals": [["0", "1"]]})
+    w = write(tmp_path / "w.json", {"kind": "window", "lo": "-1", "hi": "4"})
+    argv = [a.format(u=u, w=w) for a in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {u}: {command[0]} expects a points document\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["contract", "{x}", "--lam", "1/2", "--window", "{w}"],
+    ["trace", "{x}", "--window", "{w}", "--grid", "0,1"],
+], ids=["contract", "trace"])
+def test_window_given_a_points_document_exits_2(command, spaces, capsys):
+    argv = [a.format(x=spaces["x"], w=spaces["pts"]) for a in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spaces['pts']}: expected a window document\n"
+    assert captured.out == ""

@@ -344,3 +344,17 @@ def test_extension_matches_fraction_reference():
         ).value
         assert (res.base_distortion, res.bound, res.slack) == (base, 5 * base, 2 * h)
     assert min(kinds.values()) >= 10, kinds
+
+
+@pytest.mark.parametrize("lam, step, right, message", [
+    (0, "1/8", [0, 1], "lam must lie strictly between 0 and 1"),
+    (1, "1/8", [0, 1], "lam must lie strictly between 0 and 1"),
+    ("1/2", 0, [0, 1], "step must be positive"),
+    ("1/2", "1/8", [0, 1, 2], "correspondence shape does not match the point sets"),
+], ids=["lam-0", "lam-1", "step-0", "shape"])
+def test_extend_correspondence_refusals(lam, step, right, message):
+    r = Correspondence.of([(0, 0), (1, 1)], 2, 2)
+    x = PointSet.of([0, 1])
+    with pytest.raises(ValueError) as exc:
+        extend_correspondence(r, x, PointSet.of(right), lam, step)
+    assert type(exc.value) is ValueError and str(exc.value) == message

@@ -152,3 +152,13 @@ def test_triangle_check_reports_first_failing_index():
         except ValueError as exc:
             got = str(exc)
         assert got == want, rows
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((), "a metric space needs at least one point"),
+    (((F(0), F(1)), (F(1), F(1, 2))), "diagonal must be zero"),
+], ids=["empty", "nonzero-diagonal"])
+def test_matrix_space_refusals(rows, message):
+    with pytest.raises(ValueError) as exc:
+        FiniteMetricSpace(rows)
+    assert type(exc.value) is ValueError and str(exc.value) == message

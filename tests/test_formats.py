@@ -279,3 +279,133 @@ def test_bad_scalar_locations():
             {"kind": "matrix", "dist": [["0", "1"], ["1", "0"], ["1", "+-1"]]}, "m"
         )
     assert err.value.location == "m.dist[2][1]"
+
+
+MISSING = object()
+
+
+def _golden_cert(name: str) -> dict:
+    path = Path(__file__).parent / "golden" / f"{name}.cert.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_certificate_without_correspondence_is_malformed():
+    # 36 cells, above the exhaustive limit, so nothing re-solves the pair;
+    # lower = upper = 0 is false (d_GH = 8) and no correspondence witnesses it
+    x = FiniteMetricSpace.from_line(PointSet.of(range(6)))
+    y = FiniteMetricSpace.from_line(PointSet.of([0, 3, 7, 8, 20, 21]))
+    assert gh_branch_bound(x, y).exact == 8
+    forged = {
+        "kind": "gh-certificate", "status": "bounds-only",
+        "lower": "0", "upper": "0", "exact": None, "nodes_explored": 0,
+        "x": format_metric_space(x), "y": format_metric_space(y),
+    }
+    with pytest.raises(FormatError) as exc:
+        verify_gh_certificate(forged)
+    assert exc.value.location == "$.correspondence"
+    assert str(exc.value) == "$.correspondence: missing field 'correspondence'"
+
+
+@pytest.mark.parametrize("witness, location, message", [
+    ("anything", "$.witness", "expected a list of index pairs"),
+    ([[1, 4]], "$.witness", "expected two index pairs"),
+    ([[1, 4], [2, 2], [3, 0]], "$.witness", "expected two index pairs"),
+    ([[1, 4], [2, "2"]], "$.witness[1]", "expected a pair of integers"),
+    ([[1, 4], [True, 2]], "$.witness[1]", "expected a pair of integers"),
+    ([[1, 4, 0], [2, 2]], "$.witness[0]", "expected a pair of integers"),
+    (None, "$.witness", "expected a list of index pairs"),
+    (MISSING, "$.witness", "missing field 'witness'"),
+])
+def test_malformed_witness_is_a_located_format_error(witness, location, message):
+    doc = _golden_cert("dist-gh-line")
+    doc["witness"] = witness
+    if witness is MISSING:
+        del doc["witness"]
+    with pytest.raises(FormatError) as exc:
+        verify_gh_certificate(doc)
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {message}"
+
+
+def test_witness_must_attain_the_distortion_inside_the_correspondence():
+    # distortion 17/6 on the golden line pair: over sixths, x = 0 2 12 42 and
+    # y = 0 6 30 36 57, and | |2 - 12| - |57 - 30| | = 17
+    doc = _golden_cert("dist-gh-line")
+    assert doc["witness"] == [[1, 4], [2, 2]] and doc["distortion"] == "17/6"
+    for attained in ([[2, 2], [1, 4]], [[1, 4], [3, 0]]):
+        assert verify_gh_certificate(dict(doc, witness=attained)) is True
+    # a term below the distortion, a repeated pair, and a pair that attains
+    # 17/6 but lies outside the correspondence
+    for unattained in ([[0, 4], [1, 4]], [[0, 0], [0, 0]], [[1, 2], [2, 4]]):
+        assert verify_gh_certificate(dict(doc, witness=unattained)) is False
+
+
+@pytest.mark.parametrize("status", ["proved-by-vibes", "Exact", None, 1])
+def test_unknown_status_is_a_format_error(status):
+    for name in ("dist-gh-line", "dist-gh-bb-matrix-truncated"):
+        doc = _golden_cert(name)
+        with pytest.raises(FormatError) as exc:
+            verify_gh_certificate(dict(doc, status=status))
+        assert str(exc.value) == (
+            f"$.status: expected exact or bounds-only, got {status!r}")
+
+
+def test_bounds_only_certificate_carries_no_exact_value():
+    doc = _golden_cert("dist-gh-bb-matrix-truncated")
+    assert doc["status"] == "bounds-only" and doc["exact"] is None
+    assert verify_gh_certificate(doc) is True
+    for exact in ("1", "1/2", 0, ""):
+        assert verify_gh_certificate(dict(doc, exact=exact)) is False
+    del doc["exact"]
+    with pytest.raises(FormatError) as exc:
+        verify_gh_certificate(doc)
+    assert exc.value.location == "$.exact"
+
+
+@pytest.mark.parametrize("doc, location, message", [
+    ({"kind": "points", "coords": ["1", "0"]}, "$.coords",
+     "points must be strictly increasing"),
+    ({"kind": "points", "coords": ["0", "0/3"]}, "$.coords",
+     "points must be strictly increasing"),
+    ({"kind": "intervals", "intervals": []}, "$.intervals", "expected a nonempty list"),
+    ({"kind": "intervals", "intervals": [["0", "1"], "2"]}, "$.intervals[1]",
+     "expected a pair [lo, hi]"),
+    ({"kind": "intervals", "intervals": [["0", "1"], ["2", "3", "4"]]},
+     "$.intervals[1]", "expected a pair [lo, hi]"),
+    ({"kind": "intervals", "intervals": [["0", "1"], ["3", "5/2"]]}, "$.intervals",
+     "backwards interval [3, 5/2]"),
+    ({"kind": "window", "lo": "1", "hi": "1"}, "$", "window needs lo < hi"),
+    ({"kind": "window", "lo": "2", "hi": "1/2"}, "$", "window needs lo < hi"),
+    ({"kind": "grid", "start": "0", "step": "1", "count": 0}, "$.count",
+     "expected a positive integer"),
+    ({"kind": "grid", "start": "0", "step": "1", "count": True}, "$.count",
+     "expected a positive integer"),
+    ({"kind": "grid", "start": "0", "step": "1", "count": "3"}, "$.count",
+     "expected a positive integer"),
+    (["points", "0"], "$", "expected an object"),
+    ("points", "$", "expected an object"),
+    ({"kind": "points", "coords": ["0", ["1"]]}, "$.coords[1]",
+     "expected a rational, got list"),
+    ({"kind": "window", "lo": {"num": 0}, "hi": "1"}, "$.lo",
+     "expected a rational, got dict"),
+], ids=["decreasing", "duplicate", "no-intervals", "non-pair", "triple", "backwards",
+        "empty-window", "reversed-window", "count-0", "count-true", "count-str",
+        "list-doc", "str-doc", "list-scalar", "dict-scalar"])
+def test_parse_space_refusals(doc, location, message):
+    with pytest.raises(FormatError) as exc:
+        parse_space(doc)
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {message}"
+
+
+@pytest.mark.parametrize("doc, location, message", [
+    ({"kind": "matrix", "dist": "0"}, "$.dist", "expected a nonempty list of rows"),
+    ({"kind": "matrix", "dist": [["0", "1"], "1 0"]}, "$.dist[1]", "expected a list"),
+    ({"kind": "tree", "dist": [["0"]]}, "$.kind",
+     "unknown kind 'tree'; expected points, grid or matrix"),
+], ids=["dist-not-list", "row-not-list", "unknown-kind"])
+def test_parse_metric_space_refusals(doc, location, message):
+    with pytest.raises(FormatError) as exc:
+        parse_metric_space(doc)
+    assert exc.value.location == location
+    assert str(exc.value) == f"{location}: {message}"

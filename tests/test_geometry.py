@@ -17,6 +17,7 @@ from netline import (
     IntervalUnion,
     PointSet,
     Window,
+    as_scalar,
     covering_radius,
     hausdorff,
     is_eps_net,
@@ -361,3 +362,16 @@ def test_order_checks_match_fraction_comparisons():
                 IntervalUnion(spans) if apart
                 else "intervals must be disjoint and ordered; use merge()")
             assert _outcome(IntervalUnion, spans) == want
+
+
+def test_inexact_scalars_and_nonpositive_scales_are_refused():
+    with pytest.raises(TypeError) as exc:
+        as_scalar(True)
+    assert str(exc.value) == "not a scalar: True"
+    with pytest.raises(TypeError) as exc:
+        as_scalar(0.5)
+    assert str(exc.value) == "cannot use float as an exact scalar"
+    for factor in (0, "-1/2"):
+        with pytest.raises(ValueError) as exc:
+            PointSet.of([0, 1]).scale(factor)
+        assert str(exc.value) == "scale factor must be positive"

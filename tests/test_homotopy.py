@@ -307,3 +307,9 @@ def test_deformation_checks_reject_sets_outside_the_window():
         trace(outside, w, [2])
     with pytest.raises(ValueError, match="lam must lie in"):
         contract(outside, -1, w)
+
+
+def test_trace_refuses_an_empty_grid():
+    with pytest.raises(ValueError) as exc:
+        trace(PointSet.of([0, 1]), Window.of(-1, 4), [])
+    assert str(exc.value) == "grid must be nonempty"
