@@ -94,10 +94,8 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
         sys.stdout.write("status: bounds-only (budget exhausted)\n")
     sys.stdout.write(f"lower: {scalar_str(result.lower)}\n")
     sys.stdout.write(f"upper: {scalar_str(result.upper)}\n")
-    corr = result.upper_witness
-    if corr is not None:
-        pairs = " ".join(f"({i},{j})" for i, j in corr.pairs)
-        sys.stdout.write(f"correspondence: {pairs}\n")
+    pairs = " ".join(f"({i},{j})" for i, j in result.upper_witness.pairs)
+    sys.stdout.write(f"correspondence: {pairs}\n")
     sys.stdout.write(f"nodes: {result.nodes_explored}\n")
     if args.certificate is not None:
         doc = gh_certificate_doc(result, x, y)
@@ -149,8 +147,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _nonnegative(args.budget, "--budget")
     if args.name == "homothety":
         lam = parse_scalar(args.lam, "--lam")
-        sizes = [int(s) for s in args.sizes.split(",")]
-        table = harness.homothety_experiment(lam, sizes, budget=args.budget)
+        table = harness.homothety_experiment(lam, args.sizes, budget=args.budget)
     else:
         factor = parse_scalar(args.factor, "--factor")
         table = harness.geometric_progression_experiment(
@@ -217,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("homothety", "geometric"))
     p.add_argument("--lam", default="3/2", help="homothety scaling factor")
     p.add_argument("--sizes", default="2,3,4,5,6,7,8",
+                   type=lambda text: [int(s) for s in text.split(",")],
                    help="homothety grid sizes, comma separated")
     p.add_argument("--factor", default="2", help="geometric progression factor")
     p.add_argument("--k", type=int, default=4, help="largest progression length")

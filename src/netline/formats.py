@@ -195,8 +195,7 @@ def gh_certificate_doc(
     An external checker can re-verify it in O(|R|^2) from this document
     alone (see verify_gh_certificate).
     """
-    corr = result.upper_witness
-    doc: dict = {
+    return {
         "kind": "gh-certificate",
         "status": "exact" if result.exact is not None else "bounds-only",
         "lower": scalar_str(result.lower),
@@ -205,13 +204,10 @@ def gh_certificate_doc(
         "nodes_explored": result.nodes_explored,
         "x": format_metric_space(x),
         "y": format_metric_space(y),
+        "correspondence": [[i, j] for i, j in result.upper_witness.pairs],
+        "distortion": scalar_str(2 * result.upper),
+        "witness": [list(pair) for pair in result.witness],
     }
-    if corr is not None:
-        cert = distortion(corr, x, y)
-        doc["correspondence"] = [[i, j] for i, j in corr.pairs]
-        doc["distortion"] = scalar_str(cert.value)
-        doc["witness"] = [list(cert.witness[0]), list(cert.witness[1])]
-    return doc
 
 
 def _int_pairs(value: Any, location: str) -> list[tuple[int, int]]:

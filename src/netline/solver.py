@@ -12,7 +12,7 @@ Two independent routes to the same minimum:
   preimage.  Any correspondence contains such a sub-correspondence with no
   larger distortion, so the restricted family attains the true minimum.
 
-Both report d_GH = (min distortion)/2 with the minimizing correspondence.
+Both report d_GH = (min distortion)/2 and its witness through ``_result``.
 They share one start, ``_start`` (int matrices, diameter lower bound and a
 seeded incumbent, on line pairs the best monotone staircase), and one
 search step, ``_reach``: the partial distortion once a pair joins the pairs
@@ -55,22 +55,21 @@ EXHAUSTIVE_LIMIT = 25
 
 @dataclass(frozen=True)
 class GHResult:
-    """Certified bounds on d_GH, exact value when the search completed."""
+    """Certified bounds on d_GH, exact value when the search completed, and the
+    correspondence attaining 2·upper with the two of its pairs that attain it."""
 
     lower: Fraction
     upper: Fraction
     exact: Fraction | None
     nodes_explored: int
-    upper_witness: Correspondence | None = None
+    upper_witness: Correspondence
+    witness: tuple[Pair, Pair]
 
     def __post_init__(self) -> None:
         if self.lower > self.upper:
             raise InvariantError("lower bound exceeds upper bound")
-        if self.exact is not None:
-            if not (self.lower == self.exact == self.upper):
-                raise InvariantError("exact value must pinch both bounds")
-            if self.upper_witness is None:
-                raise InvariantError("exact value needs its optimal correspondence")
+        if self.exact is not None and not (self.lower == self.exact == self.upper):
+            raise InvariantError("exact value must pinch both bounds")
 
 
 def _start(
@@ -102,6 +101,20 @@ def _start(
                 best_val = seed_val
                 best_pairs = seed
     return den, dx, dy, abs(diam_x - diam_y), best_val, best_pairs
+
+
+def _result(den: int, dx: list[list[int]], dy: list[list[int]], low: int,
+            value: int, pairs: Sequence[Pair], nodes: int) -> GHResult:
+    """Bounds ``low`` <= least distortion <= ``value``, which ``pairs`` attain:
+    their distortion is re-derived in the sorted scan of ``distortion``, so
+    the witness is the same, and anything but ``value`` is a library defect."""
+    corr = Correspondence.of(pairs, len(dx), len(dy))
+    found, witness = int_distortion(corr.pairs, dx, dy)
+    if found != value:
+        raise InvariantError("the incumbent's correspondence has another distortion")
+    upper = Fraction(value, 2 * den)
+    exact = upper if low == value else None
+    return GHResult(Fraction(low, 2 * den), upper, exact, nodes, corr, witness)
 
 
 def _reach(
@@ -178,8 +191,7 @@ def gh_exact(
         dfs(0, 0, 0, 0)
     del dfs  # the recursive closure is a reference cycle through its cell
 
-    exact = Fraction(best_val, 2 * den)
-    return GHResult(exact, exact, exact, nodes, Correspondence.of(best_pairs, n, m))
+    return _result(den, dx, dy, best_val, best_val, best_pairs, nodes)
 
 
 def _near(dx: list[list[int]], dy: list[list[int]], t: int) -> list[dict[int, int]]:
@@ -472,7 +484,4 @@ def gh_branch_bound(
 
     # the search may have lowered the incumbent to a value refinement refutes
     low = _refined_bound(dx, dy, lower_int, best_val + 1) if truncated else best_val
-    upper = Fraction(best_val, 2 * den)
-    exact = upper if low == best_val else None
-    witness = Correspondence.of(best_pairs, n, m)
-    return GHResult(Fraction(low, 2 * den), upper, exact, nodes, witness)
+    return _result(den, dx, dy, low, best_val, best_pairs, nodes)

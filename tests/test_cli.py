@@ -159,6 +159,15 @@ def test_experiment_rejects_negative_budget(capsys):
     assert main(argv + ["--budget", "0"]) == 0
 
 
+def test_experiment_rejects_malformed_sizes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "homothety", "--sizes", "2,x"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --sizes: " in captured.err
+
+
 def test_suite_table_is_shared_with_the_command_line():
     from netline import cli, harness
 
@@ -202,10 +211,12 @@ def test_verify_exits_1_on_theorem_suite_failure(monkeypatch, capsys):
 def test_invariant_breach_exits_3(spaces, monkeypatch, capsys):
     # a solver result with lower > upper is a defect, not malformed input
     from netline import cli
+    from netline.correspondence import Correspondence
     from netline.solver import GHResult
 
     def broken(x, y, budget=None):
-        return GHResult(F(1), F(0), None, 0)
+        corr = Correspondence.of([(0, 0), (1, 1)], 2, 2)
+        return GHResult(F(1), F(0), None, 0, corr, ((0, 0), (1, 1)))
 
     monkeypatch.setattr(cli, "gh_branch_bound", broken)
     code = main(["dist-gh", spaces["x"], spaces["y"], "--method", "branch-bound"])
@@ -213,6 +224,32 @@ def test_invariant_breach_exits_3(spaces, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: ")
     assert "lower bound exceeds upper bound" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("method, name, value_at", [
+    ("branch-bound", "_best_staircase", 0),
+    ("exact", "_start", 4),
+])
+def test_lying_incumbent_exits_3(tmp_path, monkeypatch, capsys, method, name, value_at):
+    # an incumbent that under-reports its distortion by one scaled unit is
+    # refused when the solver re-derives it, before anything is printed
+    from netline import solver
+
+    honest = getattr(solver, name)
+
+    def lying(*args):
+        found = list(honest(*args))
+        found[value_at] -= 1
+        return tuple(found)
+
+    monkeypatch.setattr(solver, name, lying)
+    x = write(tmp_path / "x.json", {"kind": "points", "coords": ["0", "1/3", "2", "7"]})
+    y = write(tmp_path / "y.json",
+              {"kind": "points", "coords": ["0", "1", "5", "6", "19/2"]})
+    assert main(["dist-gh", x, y, "--method", method]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: ")
     assert captured.out == ""
 
 

@@ -224,11 +224,12 @@ def test_determinism_of_node_counts():
 
 
 def test_ghresult_invariants():
+    corr, witness = Correspondence.of([(0, 0)], 1, 1), ((0, 0), (0, 0))
     with pytest.raises(ValueError):
-        GHResult(F(1), F(0), None, 0)
+        GHResult(F(1), F(0), None, 0, corr, witness)
     with pytest.raises(ValueError):
-        GHResult(F(0), F(1), F(1), 0)
-    with pytest.raises(ValueError):
+        GHResult(F(0), F(1), F(1), 0, corr, witness)
+    with pytest.raises(TypeError):
         GHResult(F(1), F(1), F(1), 0)  # exact without its witness
 
 
@@ -296,12 +297,17 @@ def test_profile_bound_below_exact_on_matrix_pairs():
 def test_budgeted_bounds_bracket_exact():
     for kind in ("line", "matrix"):
         for x, y in random_pairs(31, 150, kind):
-            exact = gh_exact(x, y).exact
+            results = [gh_exact(x, y), gh_branch_bound(x, y)]
+            exact = results[0].exact
             for budget in (0, 1, 3):
                 res = gh_branch_bound(x, y, budget=budget)
                 assert gh_lower_bound(x, y) <= res.lower <= exact <= res.upper
                 assert distortion(res.upper_witness, x, y).value == 2 * res.upper
                 assert res.exact in (None, exact)
+                results.append(res)
+            # both solvers, bounded or not, carry the witness distortion finds
+            for res in results:
+                assert res.witness == distortion(res.upper_witness, x, y).witness
 
 
 def test_profile_bound_two_point_example():
