@@ -147,14 +147,25 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _nonnegative(args.budget, "--budget")
     if args.name == "homothety":
         lam = parse_scalar(args.lam, "--lam")
+        if lam < 1:
+            raise FormatError("--lam", "expected a scaling factor of at least 1")
+        if min(args.sizes) < 1:
+            raise FormatError("--sizes", "expected positive sizes")
         table = harness.homothety_experiment(lam, args.sizes, budget=args.budget)
     else:
         factor = parse_scalar(args.factor, "--factor")
+        if factor <= 0:
+            raise FormatError("--factor", "expected a positive factor")
+        _nonnegative(args.k, "--k")
         table = harness.geometric_progression_experiment(
             args.k, factor, budget=args.budget
         )
     _write_or_print(table.render(), args.out)
     return 0
+
+
+def comma_separated_ints(text: str) -> list[int]:
+    return [int(s) for s in text.split(",")]
 
 
 @functools.cache
@@ -214,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=("homothety", "geometric"))
     p.add_argument("--lam", default="3/2", help="homothety scaling factor")
     p.add_argument("--sizes", default="2,3,4,5,6,7,8",
-                   type=lambda text: [int(s) for s in text.split(",")],
+                   type=comma_separated_ints,
                    help="homothety grid sizes, comma separated")
     p.add_argument("--factor", default="2", help="geometric progression factor")
     p.add_argument("--k", type=int, default=4, help="largest progression length")

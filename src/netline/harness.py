@@ -33,9 +33,11 @@ from .correspondence import Correspondence, FiniteMetricSpace, diam, distortion
 from .errors import InvariantError, PreconditionError
 from .formats import format_metric_space, format_space
 from .geometry import (
+    Form,
     PointSet,
     ScalarLike,
     Window,
+    _form,
     _over_lcm,
     as_scalar,
     covering_radius,
@@ -131,30 +133,39 @@ def _instance_json(check: Check, instance: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # generators
-#
-# Hot draws call rng.randrange(a, b + 1): it is what rng.randint(a, b) calls,
-# so the stream is the same, without randint's extra Python frame.
 
 
-def _random_ratio(
-    rng: random.Random, lo: Fraction, hi: Fraction, qmax: int
-) -> tuple[int, int]:
-    q = rng.randrange(1, qmax + 1)
-    # ceil(lo·q) and floor(hi·q), from numerators and denominators
-    first = -(-lo.numerator * q // lo.denominator)
-    return rng.randrange(first, hi.numerator * q // hi.denominator + 1), q
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` as CPython 3.10-3.13 draw it, in one frame:
+    ``n.bit_length()`` bits, redrawn while at least n (n = 1 too uses bits).
+    ``tests/test_harness.py`` pins it and every generator to ``randint``."""
+    if n < 1:
+        raise ValueError(f"empty range of {n} values")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _random_ratio(rng: random.Random, bounds: Form, qmax: int) -> tuple[int, int]:
+    """(p, q) with 1 <= q <= qmax and lo <= p/q <= hi, for bounds (lo, hi)/den."""
+    (lo, hi), den = bounds
+    q = 1 + _below(rng, qmax)
+    first = -(-lo * q // den)  # ceil(lo·q / den)
+    return first + _below(rng, hi * q // den - first + 1), q
 
 
 def random_scalar(
     rng: random.Random, lo: Fraction, hi: Fraction, qmax: int
 ) -> Fraction:
-    return Fraction(*_random_ratio(rng, lo, hi, qmax))
+    return Fraction(*_random_ratio(rng, _form((lo, hi)), qmax))
 
 
 def random_lambda(rng: random.Random, qmax: int = 16) -> Fraction:
     """A rational in [0, 1) with small denominator."""
-    q = rng.randrange(2, qmax + 1)
-    return Fraction(rng.randrange(0, q), q)
+    q = 2 + _below(rng, qmax - 1)
+    return Fraction(_below(rng, q), q)
 
 
 def random_point_set(
@@ -163,13 +174,14 @@ def random_point_set(
     min_points: int = MIN_POINTS,
     max_points: int = MAX_POINTS,
 ) -> PointSet:
-    k = rng.randrange(min_points, max_points + 1)
+    k = min_points + _below(rng, max_points - min_points + 1)
+    bounds = cfg.window.ints, cfg.window.den
     # reduced (numerator, denominator) pairs: no Fraction per draw
     accepted: set[tuple[int, int]] = set()
     attempts = 0
     while len(accepted) < k and attempts < 64 * k:
         attempts += 1
-        p, q = _random_ratio(rng, cfg.window.lo, cfg.window.hi, DENOMINATOR_BOUND)
+        p, q = _random_ratio(rng, bounds, DENOMINATOR_BOUND)
         g = gcd(p, q)
         accepted.add((p // g, q // g))
     ints, den = _over_lcm(list(accepted))

@@ -1,7 +1,7 @@
 """Order behaviour of low-distortion correspondences between line subsets.
 
-Two checkers, each guarded by the hypothesis that makes its conclusion a
-theorem rather than a hope:
+Two checkers, scanning the spaces' stored ints and reporting Fractions, each
+guarded by the hypothesis that makes its conclusion a theorem, not a hope:
 
 * ``check_order_preservation``: if the left space is t-separated and the
   correspondence distorts by c with t > 2c, then chosen images preserve
@@ -20,22 +20,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .correspondence import (
-    Correspondence,
-    DistortionCertificate,
-    FiniteMetricSpace,
-    distortion,
-)
+from .correspondence import Correspondence, FiniteMetricSpace, distortion
 from .errors import PreconditionError
-from .geometry import ScalarLike, as_scalar, separation
+from .geometry import PointSet, ScalarLike, _form, _scaled, as_scalar, separation
 
 DEFAULT_WITNESS_MARGIN = 100
 
 
-def _require_line(space: FiniteMetricSpace, name: str) -> tuple[Fraction, ...]:
+def _require_line(space: FiniteMetricSpace, name: str) -> PointSet:
     if space.line_coords is None:
         raise ValueError(f"{name} must be line-embedded (line_coords present)")
-    return space.line_coords.points
+    return space.line_coords
 
 
 def canonical_selection(r: Correspondence) -> tuple[int, ...]:
@@ -69,7 +64,7 @@ def check_order_preservation(
     separation t fails t > 2c, c being the exact distortion of ``r``.
     """
     xs = _require_line(x, "x")
-    ys = _require_line(y, "y")
+    ys = _require_line(y, "y").ints
     cert = distortion(r, x, y)
     c = cert.value
     n = x.n
@@ -85,7 +80,7 @@ def check_order_preservation(
             if (i, j) not in chosen:
                 raise ValueError(f"selection pair ({i}, {j}) is not in the relation")
 
-    sep = separation(x.line_coords) if n >= 2 else None
+    sep = separation(xs) if n >= 2 else None
     if sep is not None and sep <= 2 * c:
         raise PreconditionError(
             f"separation {sep} is not greater than twice the distortion {c}; "
@@ -118,14 +113,15 @@ class OrderViolationReport:
 
 def inverted_pair_violations(
     pairs: Sequence[tuple[int, int]],
-    xs: Sequence[Fraction],
-    ys: Sequence[Fraction],
-    c: Fraction,
-    margin: Fraction,
+    xs: Sequence[int],
+    ys: Sequence[int],
+    c: int,
+    margin: int,
     selection: Sequence[int],
 ) -> tuple[list[tuple[int, int, int, int]], list[tuple[int, int, int, int]], int]:
     """Scan inverted pairs against the 2c gap bound.
 
+    ``xs``, ``c`` and ``margin`` are ints over one scale, ``ys`` over any.
     Returns (violations, unwitnessed, inverted_count).  A far witness for an
     inverted pair ((a, a'), (b, b')) is a left point p with
     p > x_b + max(margin, 2c) whose selected image lies at or beyond both
@@ -177,10 +173,11 @@ def order_violation_bound(
     margin = as_scalar(witness_margin)
     if margin < 0:
         raise ValueError("witness margin must be nonnegative")
-    cert: DistortionCertificate = distortion(r, x, y)
+    cert = distortion(r, x, y)
     sel = canonical_selection(r)
+    _, (xi, (ci, mi)) = _scaled((xs.ints, xs.den), _form((cert.value, margin)))
     violations, unwitnessed, inverted = inverted_pair_violations(
-        r.pairs, xs, ys, cert.value, margin, sel
+        r.pairs, xi, ys.ints, ci, mi, sel
     )
     if violations:
         status = "fail"

@@ -168,6 +168,35 @@ def test_experiment_rejects_malformed_sizes(capsys):
     assert "argument --sizes: " in captured.err
 
 
+def test_experiment_names_the_type_of_a_malformed_size_list(capsys):
+    with pytest.raises(SystemExit):
+        main(["experiment", "homothety", "--sizes", "2,,3"])
+    err = capsys.readouterr().err
+    assert "<lambda>" not in err
+    assert "argument --sizes: invalid comma_separated_ints value: '2,,3'" in err
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["homothety", "--sizes", "0,2"], "--sizes"),
+    (["homothety", "--lam", "1/2"], "--lam"),
+    (["geometric", "--factor", "-1"], "--factor"),
+    (["geometric", "--k", "-1"], "--k"),
+])
+def test_experiment_parameter_errors_name_their_flag(args, flag, capsys):
+    assert main(["experiment", *args, "--budget", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag}: expected ")
+
+
+def test_experiment_accepts_the_edge_values(capsys):
+    # lam 1 gives isometric pairs, and k 0 an empty table, as before
+    assert main(["experiment", "homothety", "--lam", "1", "--sizes", "1"]) == 0
+    assert "N=1, 0, 0, 0" in capsys.readouterr().out
+    assert main(["experiment", "geometric", "--k", "0"]) == 0
+    assert capsys.readouterr().out.endswith("2dGH_exact, nodes\n")
+
+
 def test_suite_table_is_shared_with_the_command_line():
     from netline import cli, harness
 

@@ -319,3 +319,31 @@ def test_generator_draws_match_ceil_floor_reference(lo, hi):
         assert drawn.points == expected.points
         assert hash(drawn) == hash(expected)
     assert ours.random() == ref.random()
+
+
+def test_below_matches_randrange():
+    # the same bits give the same value: n = 1 still draws, and n just past
+    # a power of two redraws most often
+    for seed in range(3):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 71):
+            for _ in range(20):
+                assert harness._below(ours, n) == ref.randrange(n)
+        assert ours.random() == ref.random()
+    with pytest.raises(ValueError):
+        harness._below(random.Random(0), 0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 104729])
+def test_lambda_and_scalar_draws_match_randint_reference(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    for k in range(300):
+        qmax = 2 + k % 20
+        q = ref.randint(2, qmax)
+        assert harness.random_lambda(ours, qmax) == F(ref.randint(0, q - 1), q)
+        lo = F(k % 7 - 3, 1 + k % 4)
+        hi = lo + 1 + F(k % 5, 1 + k % 3)  # at least one unit: never empty
+        q = ref.randint(1, qmax)
+        expected = F(ref.randint(math.ceil(lo * q), math.floor(hi * q)), q)
+        assert harness.random_scalar(ours, lo, hi, qmax) == expected
+    assert ours.random() == ref.random()

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -14,7 +19,13 @@ from netline import (
     check_order_preservation,
     order_violation_bound,
 )
-from netline.ordering import canonical_selection, inverted_pair_violations
+from netline import ordering
+from netline.ordering import (
+    OrderPreservationReport,
+    OrderViolationReport,
+    canonical_selection,
+    inverted_pair_violations,
+)
 
 
 def line(*coords) -> FiniteMetricSpace:
@@ -113,18 +124,92 @@ def test_order_violation_global_reversal_is_inconclusive():
 
 def test_checker_flags_fabricated_violation():
     # the bound checker itself, fed a distortion smaller than the instance's
-    # true one, must flag the swap it would otherwise accept
-    pts = (F(0), F(1), F(200))
+    # true one, must flag the swap it would otherwise accept; the second call
+    # puts xs, c and the margin over the scale 4, and ys stay on their own
+    pts = (0, 1, 200)
     pairs = ((0, 1), (1, 0), (2, 2))
     selection = (1, 0, 2)
     violations, unwitnessed, inverted = inverted_pair_violations(
-        pairs, pts, pts, F(1), F(100), selection
+        pairs, pts, pts, 1, 100, selection
     )
     assert inverted == 1 and not violations and not unwitnessed
     violations, _, _ = inverted_pair_violations(
-        pairs, pts, pts, F(1, 4), F(100), selection
+        pairs, (0, 4, 800), pts, 1, 400, selection
     )
     assert violations == [(0, 1, 1, 0)]
+
+
+def _random_line(rng: random.Random, n: int) -> FiniteMetricSpace:
+    coords = {F(rng.randint(-90, 90), rng.choice((2, 3, 5, 7))) for _ in range(n)}
+    return FiniteMetricSpace.from_line(PointSet(tuple(sorted(coords))))
+
+
+def _random_pair(rng: random.Random):
+    """A line pair with a correspondence: a jittered copy under the nearest
+    correspondence (often inside the order-preservation hypothesis), or two
+    independent sets under a random surjective relation."""
+    x = _random_line(rng, rng.randint(1, 7))
+    if rng.random() < 0.5:
+        pts = x.line_coords.points
+        jitter = [p + F(rng.randint(-3, 3), 7 * rng.randint(1, 3)) for p in pts]
+        y = FiniteMetricSpace.from_line(PointSet.of(jitter))
+        return x, y, Correspondence.nearest(x.line_coords, y.line_coords)
+    y = _random_line(rng, rng.randint(1, 7))
+    pairs = {(i, rng.randrange(y.n)) for i in range(x.n)}
+    pairs |= {(rng.randrange(x.n), j) for j in range(y.n)}
+    pairs |= {(rng.randrange(x.n), rng.randrange(y.n)) for _ in range(rng.randint(0, 3))}
+    return x, y, Correspondence.of(pairs, x.n, y.n)
+
+
+def _order_reference(x, y, c, sel):
+    """check_order_preservation's report, scanned on the Fraction points;
+    None where the separation gate refuses."""
+    xs, ys = x.line_coords.points, y.line_coords.points
+    sep = min(b - a for a, b in zip(xs, xs[1:])) if len(xs) > 1 else None
+    if sep is not None and sep <= 2 * c:
+        return None
+    for triples, (q, p, rr) in enumerate(combinations(range(len(xs)), 3), 1):
+        iq, ip, ir = ys[sel[q]], ys[sel[p]], ys[sel[rr]]
+        if not min(iq, ir) <= ip <= max(iq, ir):
+            return OrderPreservationReport("fail", c, sep, triples, (q, p, rr))
+    return OrderPreservationReport("pass", c, sep, comb(len(xs), 3), None)
+
+
+def test_int_scans_match_fraction_reference(monkeypatch):
+    # each pair is checked with its true distortion, a ninth of it and 0:
+    # understated ones let failing instances through both gates, so the fail
+    # paths are compared too
+    real = ordering.distortion
+    factor = [F(1)]
+
+    def understated(r, x, y):
+        cert = real(r, x, y)
+        return replace(cert, value=cert.value * factor[0])
+
+    monkeypatch.setattr(ordering, "distortion", understated)
+    rng = random.Random(2026)
+    margin = F(7, 3)
+    seen = Counter()
+    for _ in range(500):
+        x, y, r = _random_pair(rng)
+        sel = canonical_selection(r)
+        for factor[0] in (F(1), F(1, 9), F(0)):
+            c = understated(r, x, y).value
+            v, u, inverted = inverted_pair_violations(
+                r.pairs, x.line_coords.points, y.line_coords.points, c, margin, sel
+            )
+            status = "fail" if v else "inconclusive" if u else "pass"
+            expected = OrderViolationReport(status, c, inverted, tuple(v), tuple(u))
+            assert order_violation_bound(r, x, y, witness_margin=margin) == expected
+            try:
+                got = check_order_preservation(r, x, y)
+            except PreconditionError:
+                got = None
+            assert got == _order_reference(x, y, c, sel)
+            seen[status] += 1
+            seen["refused" if got is None else got.status + " order"] += 1
+    # every status of both checkers, and the refusal, occurs repeatedly
+    assert len(seen) == 6 and min(seen.values()) >= 100, seen
 
 
 def test_requires_line_embedding():
