@@ -3,22 +3,31 @@
 Scalars travel as exact strings; JSON floats are rejected because they are
 already rounded.  A scalar string is whatever `fractions.Fraction` accepts
 on the running Python; "p/q", integers and plain decimals like "3.25" are
-portable.  The forms the program writes, ASCII integers and "p/q", are
-parsed with `int()`, everything else by `Fraction(str)` itself.  Points and
-intervals go straight from strings to ints over one denominator, the form
-`geometry` stores, with no Fraction per scalar.  Printing is canonical and
-deterministic, so parse(print(x)) = x bit-exact and identical inputs always
-produce byte-identical documents.
+portable.  The forms the program writes, ASCII "-?digits" and
+"-?digits/digits", are read with `int()`, everything else by
+`Fraction(str)` itself.  Points and intervals go straight from strings to
+ints over one denominator, the form `geometry` stores, with no Fraction per
+scalar: when every coordinate, or every interval end, is a string in a
+written form, one pattern pass over the joined list checks them all and
+each distinct denominator is converted once.  Any other list is read scalar
+by scalar, which accepts the same values and reports the first bad field in
+document order.  Printing is canonical and deterministic, so
+parse(print(x)) = x bit-exact and identical inputs always produce
+byte-identical documents.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from itertools import chain, repeat
+from math import lcm
+from operator import itemgetter, mul
 from typing import Any, Callable, Union
 
 from .correspondence import Correspondence, FiniteMetricSpace, Relation, distortion
-from .geometry import IntervalUnion, PointSet, Window, _over_lcm, scalar_str
+from .geometry import Form, IntervalUnion, PointSet, Window, _over_lcm, scalar_str
 from .solver import EXHAUSTIVE_LIMIT, GHResult, gh_exact
 
 SpaceObject = Union[PointSet, IntervalUnion, Window]
@@ -32,18 +41,52 @@ class FormatError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
+# the forms the program writes; ASCII only, since `int()` also takes other digits
+_WRITTEN = "-?[0-9]+(?:/[0-9]+)?"
+_WRITTEN_ONE = re.compile(_WRITTEN)
+# matched one value at a time: a repeated group in one match would grow the
+# engine's backtracking stack with the length of the list
+_WRITTEN_ITEM = re.compile(f"{_WRITTEN},")
+
+
+def _written(values: list[Any]) -> Form | None:
+    """The values over the lcm of their denominators when every one is a
+    string in a written form with a nonzero denominator, else None."""
+    try:
+        text = ",".join(values) + ","
+    except TypeError:
+        return None
+    # nothing left over, and a value that holds a comma makes an extra match
+    rest, matched = _WRITTEN_ITEM.subn("", text)
+    if rest or matched != len(values):
+        return None
+    try:
+        if "/" not in text:
+            return list(map(int, values)), 1
+        # two lazy passes: all the partition triples at once would hold three
+        # objects per value at the peak
+        dens = list(map(itemgetter(2), map(str.partition, values, repeat("/"))))
+        qs = {den: int(den or 1) for den in dict.fromkeys(dens)}
+        ints = list(map(int, map(itemgetter(0), map(str.partition, values, repeat("/")))))
+    except ValueError:  # more digits than int() converts
+        return None
+    lcm_den = lcm(*qs.values())
+    if not lcm_den:  # a zero denominator
+        return None
+    scale = {den: lcm_den // q for den, q in qs.items()}
+    return list(map(mul, ints, map(scale.__getitem__, dens))), lcm_den
+
+
 def _ratio(value: Any, location: str | Callable[[], str]) -> tuple[int, int]:
     """(num, den) of a document scalar, den > 0 and not reduced; a callable
     ``location`` is called to build the field's location only if it fails."""
     try:
         if isinstance(value, str):
-            num, slash, den = value.partition("/")
-            digits = num[1:] if num[:1] == "-" else num
-            # a zero denominator goes to Fraction(str), which reports it
-            if digits.isdigit() and digits.isascii() and (
-                not slash or den.isdigit() and den.isascii() and den.strip("0")
-            ):
-                return int(num), int(den) if slash else 1
+            if _WRITTEN_ONE.fullmatch(value):
+                num, _, den = value.partition("/")
+                p, q = int(num), int(den or 1)
+                if q:  # a zero denominator goes to Fraction(str), which reports it
+                    return p, q
             return Fraction(value).as_integer_ratio()
         if isinstance(value, bool):
             message = "expected an exact number, got a boolean"
@@ -78,10 +121,10 @@ def parse_space(doc: Any, location: str = "$") -> SpaceObject:
         coords = _require(doc, "coords", location)
         if not isinstance(coords, list) or not coords:
             raise FormatError(f"{location}.coords", "expected a nonempty list")
-        points = [_ratio(v, lambda: f"{location}.coords[{k}]")
-                  for k, v in enumerate(coords)]
+        form = _written(coords) or _over_lcm(
+            [_ratio(v, lambda: f"{location}.coords[{k}]") for k, v in enumerate(coords)])
         try:
-            return PointSet.from_ints(*_over_lcm(points))._check()
+            return PointSet.from_ints(*form)._check()
         except ValueError as exc:
             raise FormatError(f"{location}.coords", str(exc))
     if kind == "intervals":
@@ -89,15 +132,20 @@ def parse_space(doc: Any, location: str = "$") -> SpaceObject:
         where = f"{location}.intervals"
         if not isinstance(spans, list) or not spans:
             raise FormatError(where, "expected a nonempty list")
-        ends = []
-        for i, span in enumerate(spans):
-            if not isinstance(span, list) or len(span) != 2:
-                raise FormatError(f"{where}[{i}]", "expected a pair [lo, hi]")
-            lo, hi = span
-            ends += (_ratio(lo, lambda: f"{where}[{i}][0]"),
-                     _ratio(hi, lambda: f"{where}[{i}][1]"))
+        form = None
+        if {*map(type, spans)} == {list} and {*map(len, spans)} == {2}:
+            form = _written(list(chain.from_iterable(spans)))
+        if form is None:
+            ends = []
+            for i, span in enumerate(spans):
+                if not isinstance(span, list) or len(span) != 2:
+                    raise FormatError(f"{where}[{i}]", "expected a pair [lo, hi]")
+                lo, hi = span
+                ends += (_ratio(lo, lambda: f"{where}[{i}][0]"),
+                         _ratio(hi, lambda: f"{where}[{i}][1]"))
+            form = _over_lcm(ends)
         try:
-            return IntervalUnion.merge_ints(*_over_lcm(ends))
+            return IntervalUnion.merge_ints(*form)
         except ValueError as exc:
             raise FormatError(where, str(exc))
     if kind == "window":
@@ -140,11 +188,15 @@ def dumps_doc(doc: dict) -> str:
 
 
 def loads_doc(text: str, location: str = "$") -> Any:
-    """The decoded JSON document; a syntax error is a FormatError at ``location``."""
+    """The decoded JSON document.  A syntax error, an integer with more digits
+    than `int()` converts or nesting deeper than the stack allows is a
+    FormatError at ``location``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(location, f"invalid JSON: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(location, f"unreadable JSON: {exc}")
 
 
 def loads_space(text: str, location: str = "$") -> SpaceObject:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import lt, sub
+from operator import le, lt, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Fraction
@@ -167,7 +167,10 @@ class IntervalUnion(_Ints):
     @classmethod
     def merge_ints(cls, ends: Sequence[int], den: int) -> "IntervalUnion":
         """`merge` of flat int ends lo, hi, lo, hi, ... over den."""
-        pairs = list(zip(ends[::2], ends[1::2]))
+        los, his = ends[::2], ends[1::2]
+        if ends and all(map(le, los, his)) and all(map(lt, his, los[1:])):
+            return cls.from_ints(ends, den)  # sorted, disjoint and not touching
+        pairs = list(zip(los, his))
         if any(a0 >= a1 for (a0, _), (a1, _) in zip(pairs, pairs[1:])):
             pairs.sort()
         _check_spans(list(chain.from_iterable(pairs)), den)

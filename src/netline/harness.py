@@ -39,6 +39,7 @@ from .geometry import (
     Window,
     _form,
     _over_lcm,
+    _scaled,
     as_scalar,
     covering_radius,
     hausdorff,
@@ -418,11 +419,14 @@ def _check_stability(tally, x, xn, lam, window):
 def _jittered_grid(
     rng: random.Random, n: int, spacing: Fraction, jitter_den: int
 ) -> PointSet:
-    pts = []
-    for k in range(n):
-        jitter = Fraction(rng.randrange(-jitter_den, jitter_den + 1), 16 * jitter_den)
-        pts.append(k * spacing + jitter * spacing)
-    return PointSet(tuple(pts))
+    """Points (k + j / (16·jitter_den))·spacing for k < n, with one draw of
+    |j| <= jitter_den per point; each moves by at most spacing/16, so they
+    increase."""
+    steps = 16 * jitter_den
+    p, q = spacing.as_integer_ratio()
+    return PointSet.from_ints(
+        [p * (k * steps + _below(rng, 2 * jitter_den + 1) - jitter_den)
+         for k in range(n)], q * steps)
 
 
 def _swapped(n: int, k: int) -> Correspondence:
@@ -439,19 +443,20 @@ def _draw_order_lemmas(rng, cfg, index):
     the betweenness checker must refuse, and every fifth inverted-pair
     instance drops the far witness, which must come back inconclusive.
     """
-    n = rng.randint(3, 6)
-    spacing = Fraction(rng.randint(2, 4), 2)
-    x = _jittered_grid(rng, n, spacing, rng.randint(1, 4))
-    # independent per-point jitter: nontrivial distortion, but far below
-    # half the separation, so the hypothesis holds by construction
-    y = PointSet(
-        tuple(p + Fraction(rng.randrange(-2, 3), 64) * spacing for p in x.points)
-    )
+    n = 3 + _below(rng, 4)
+    spacing = Fraction(2 + _below(rng, 3), 2)
+    x = _jittered_grid(rng, n, spacing, 1 + _below(rng, 4))
+    # independent per-point jitter of j·spacing/64, |j| <= 2: nontrivial
+    # distortion, but far below half the separation, so the hypothesis holds
+    # by construction (and y increases, as x's gaps exceed spacing/2)
+    scale, (xs, (shift,)) = _scaled((x.ints, x.den), _form((spacing / 64,)))
+    y = PointSet.from_ints([v + (_below(rng, 5) - 2) * shift for v in xs], scale)
     items = [(_check_betweenness, {"x": x, "y": y})]
     if index % 4 == 0:
         items.append((_check_refusal, {"x": x}))
-    grid = PointSet(tuple(k * spacing for k in range(n)))
-    k = rng.randint(0, n - 2)
+    grid = PointSet.from_ints([k * spacing.numerator for k in range(n)],
+                              spacing.denominator)
+    k = _below(rng, n - 1)
     witness = index % 5 != 0
     inverted = {"x": grid, "spacing": spacing, "k": k, "witness": witness}
     return items + [(_check_inverted_gap, inverted)]
@@ -488,9 +493,11 @@ def _check_inverted_gap(tally, x, spacing, k, witness):
     # point (or deliberately without one, expecting inconclusive)
     if k + 1 >= len(x):
         return None
-    pts = x.points + ((x.points[-1] + 101 * spacing,) if witness else ())
-    far = FiniteMetricSpace.from_line(PointSet(pts))
-    status = order_violation_bound(_swapped(len(pts), k), far, far).status
+    if witness:
+        scale, (xs, (gap,)) = _scaled((x.ints, x.den), _form((101 * spacing,)))
+        x = PointSet.from_ints(xs + [xs[-1] + gap], scale)
+    far = FiniteMetricSpace.from_line(x)
+    status = order_violation_bound(_swapped(len(x), k), far, far).status
     if witness and status != "pass":
         return f"inverted-gap check came back {status}"
     if not witness and status != "inconclusive":

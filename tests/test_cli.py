@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -298,6 +299,29 @@ def test_invalid_json_exits_2_naming_the_file(tmp_path, capsys):
         assert main([command, str(bad), str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: invalid JSON")
+
+
+def test_too_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    for command in ("dist-h", "dist-gh"):
+        assert main([command, str(deep), str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {deep}: unreadable JSON: maximum recursion")
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_integer_too_long_to_convert_exits_2_naming_the_file(tmp_path, capsys):
+    # a JSON number past int()'s digit limit; where the running Python has no
+    # limit, the number parses and is refused as a coordinate list instead
+    big = tmp_path / "big.json"
+    big.write_text('{"kind": "points", "coords": ' + "7" * 5000 + "}", encoding="utf-8")
+    for command in ("dist-h", "dist-gh"):
+        assert main([command, str(big), str(big)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {big}")
+        if hasattr(sys, "get_int_max_str_digits"):
+            assert err.startswith(f"error: {big}: unreadable JSON: Exceeds the limit")
 
 
 def test_gh_exact_over_limit_exits_2(tmp_path, capsys):

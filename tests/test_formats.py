@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from netline import (
     gh_branch_bound,
     gh_exact,
 )
+from netline import formats
 from netline.formats import (
     FormatError,
     dumps_doc,
@@ -409,3 +412,185 @@ def test_parse_metric_space_refusals(doc, location, message):
         parse_metric_space(doc)
     assert exc.value.location == location
     assert str(exc.value) == f"{location}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# whole-list reads against the scalar-by-scalar reader they replace
+
+
+def reference_ratio(value, location):
+    """`formats._ratio` as it read every scalar before whole lists were read
+    in one step, frozen as the reference."""
+    try:
+        if isinstance(value, str):
+            num, slash, den = value.partition("/")
+            digits = num[1:] if num[:1] == "-" else num
+            if digits.isdigit() and digits.isascii() and (
+                not slash or den.isdigit() and den.isascii() and den.strip("0")
+            ):
+                return int(num), int(den) if slash else 1
+            return F(value).as_integer_ratio()
+        if isinstance(value, bool):
+            message = "expected an exact number, got a boolean"
+        elif isinstance(value, int):
+            return value, 1
+        elif isinstance(value, float):
+            message = "floats are not exact; write the value as a string"
+        else:
+            message = f"expected a rational, got {type(value).__name__}"
+    except (ValueError, ZeroDivisionError) as exc:
+        message = f"not a rational: {value!r} ({exc})"
+    raise FormatError(location, message)
+
+
+def reference_over_lcm(ratios):
+    den = math.lcm(*{d for _, d in ratios})
+    return [n * (den // d) for n, d in ratios], den
+
+
+def reference_merge(ends, den):
+    """`IntervalUnion.merge_ints` before its sorted and disjoint shortcut."""
+    pairs = list(zip(ends[::2], ends[1::2]))
+    if any(a0 >= a1 for (a0, _), (a1, _) in zip(pairs, pairs[1:])):
+        pairs.sort()
+    if not pairs:
+        raise ValueError("an interval union needs at least one interval")
+    for a, b in pairs:
+        if a > b:
+            raise ValueError(f"backwards interval [{F(a, den)}, {F(b, den)}]")
+    fused = []
+    for a, b in pairs:
+        if fused and a <= fused[-1]:
+            fused[-1] = max(fused[-1], b)
+        else:
+            fused += (a, b)
+    return IntervalUnion.from_ints(fused, den)
+
+
+def reference_parse(doc):
+    """The points and intervals branches of `parse_space`, scalar by scalar."""
+    if doc["kind"] == "points":
+        ratios = [reference_ratio(v, f"$.coords[{k}]")
+                  for k, v in enumerate(doc["coords"])]
+        try:
+            return PointSet.from_ints(*reference_over_lcm(ratios))._check()
+        except ValueError as exc:
+            raise FormatError("$.coords", str(exc))
+    ends = []
+    for i, span in enumerate(doc["intervals"]):
+        if not isinstance(span, list) or len(span) != 2:
+            raise FormatError(f"$.intervals[{i}]", "expected a pair [lo, hi]")
+        ends += (reference_ratio(span[0], f"$.intervals[{i}][0]"),
+                 reference_ratio(span[1], f"$.intervals[{i}][1]"))
+    try:
+        return reference_merge(*reference_over_lcm(ends))
+    except ValueError as exc:
+        raise FormatError("$.intervals", str(exc))
+
+
+def outcome(parse, doc):
+    try:
+        parsed = parse(doc)
+    except FormatError as exc:
+        return exc.location, str(exc)
+    return type(parsed).__name__, parsed.ints, parsed.den
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def spelled(rng: random.Random, v: F, fallback: float):
+    """A document scalar that names v: a written form, or with probability
+    ``fallback`` a form only the scalar-by-scalar reader takes."""
+    p, q = v.numerator, v.denominator
+    if rng.random() >= fallback:
+        if p == 0 and rng.random() < 0.5:
+            return "-0"
+        k = rng.choice((1, 1, 1, 2, 3))
+        return rng.choice((str(v), f"{p * k}/{q * k}", f"{p * k}/00{q * k}"))
+    forms = [f" {v}", f"{v}\t"] + ([f"+{v}"] if p >= 0 else [])
+    if q == 1:
+        forms += [p, str(p).translate(ARABIC_INDIC)]
+    if 10**6 % q == 0:
+        forms.append(str(Decimal(p) / q))
+    return rng.choice(forms)
+
+
+BAD_SCALARS = [True, False, 0.25, None, ["1"], {"p": 1}, "1/0", "1/00", "x",
+               "3/-4", "--1", "1/", "/2", "1//2", "1,2", "٣/", "9" * 4301,
+               "-" + "9" * 4301, "1/" + "7" * 4301]
+
+
+def random_scalar_list(rng: random.Random) -> list:
+    n = rng.randint(1, 400)
+    values = set()
+    while len(values) < n:
+        q = rng.randint(1, 64)
+        values.add(F(rng.randint(-40 * q * n, 40 * q * n), q))
+    fallback = rng.choice((0.0, 0.0, 0.002, 0.05, 0.5))
+    scalars = [spelled(rng, v, fallback) for v in sorted(values)]
+    if rng.random() < 0.4:
+        scalars[rng.randrange(n)] = rng.choice(BAD_SCALARS)
+    return scalars
+
+
+def test_whole_list_reads_agree_with_the_scalar_reader():
+    rng = random.Random(23)
+    reached = {"written": 0, "mixed": 0, "refused": 0}
+    for _ in range(400):
+        scalars = random_scalar_list(rng)
+        doc = {"kind": "points", "coords": scalars}
+        want = outcome(reference_parse, doc)
+        assert outcome(parse_space, doc) == want, scalars
+        if want[0] != "PointSet":
+            reached["refused"] += 1
+        else:
+            written = all(type(v) is str and formats._WRITTEN_ONE.fullmatch(v)
+                          for v in scalars)
+            reached["written" if written else "mixed"] += 1
+        # the same scalars as interval ends, in order or not, and with one
+        # malformed span now and then
+        spans = [scalars[k:k + 2] for k in range(0, len(scalars) - 1, 2)]
+        if rng.random() < 0.3:
+            rng.shuffle(spans)
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            if spans:
+                spans[rng.randrange(len(spans))].reverse()  # a backwards span
+        if spans and rng.random() < 0.2:
+            spans[rng.randrange(len(spans))] = rng.choice(
+                (["0"], ["0", "1", "2"], "0", None, ("0", "1")))
+        if spans:
+            doc = {"kind": "intervals", "intervals": spans}
+            want = outcome(reference_parse, doc)
+            assert outcome(parse_space, doc) == want, spans
+            reached["refused"] += want[0] != "IntervalUnion"
+    # the one-step reads, the scalar-by-scalar reads and refusals are reached
+    assert min(reached.values()) > 50, reached
+
+
+@pytest.mark.parametrize("spans, location", [
+    # fields fail in document order: a bad scalar before a malformed span
+    ([["0", 0.5], ["1", "2", "3"]], "$.intervals[0][1]"),
+    ([["x", "1"], "2"], "$.intervals[0][0]"),
+    # and a malformed span before a bad scalar
+    ([["0"], ["1", "x"]], "$.intervals[0]"),
+    ([["0", "1"], ["2", "3", "4"], ["5", 0.5]], "$.intervals[1]"),
+    ([["0", "1"], None, ["1/0", "2"]], "$.intervals[1]"),
+], ids=["float-then-triple", "bad-then-str", "short-then-bad",
+        "triple-then-float", "none-then-zero-den"])
+def test_interval_errors_report_the_first_field_in_document_order(spans, location):
+    with pytest.raises(FormatError) as exc:
+        parse_space({"kind": "intervals", "intervals": spans})
+    assert exc.value.location == location
+
+
+@pytest.mark.parametrize("bad", ["0.25x", 0.25, "1/0", "9" * 4301, "1,2"],
+                         ids=["junk", "float", "zero-den", "overlong", "comma"])
+def test_a_bad_scalar_deep_in_a_long_list_is_located(bad):
+    coords = [str(F(k, 7)) for k in range(300)]
+    coords[250] = bad
+    with pytest.raises(FormatError) as exc:
+        parse_space({"kind": "points", "coords": coords})
+    assert exc.value.location == "$.coords[250]"
+    assert str(exc.value) == str(outcome(reference_parse, {
+        "kind": "points", "coords": coords})[1])

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -347,3 +348,47 @@ def test_lambda_and_scalar_draws_match_randint_reference(seed):
         expected = F(ref.randint(math.ceil(lo * q), math.floor(hi * q)), q)
         assert harness.random_scalar(ours, lo, hi, qmax) == expected
     assert ours.random() == ref.random()
+
+
+def reference_order_lemmas_draw(rng, index):
+    """`_draw_order_lemmas` as it drew in Fractions, frozen as the reference."""
+    n = rng.randint(3, 6)
+    spacing = F(rng.randint(2, 4), 2)
+    jitter_den = rng.randint(1, 4)
+    x = PointSet(tuple(
+        k * spacing + F(rng.randrange(-jitter_den, jitter_den + 1), 16 * jitter_den)
+        * spacing for k in range(n)))
+    y = PointSet(tuple(p + F(rng.randrange(-2, 3), 64) * spacing for p in x.points))
+    grid = PointSet(tuple(k * spacing for k in range(n)))
+    return x, y, grid, spacing, rng.randint(0, n - 2), index % 5 != 0
+
+
+@pytest.mark.parametrize("seed", [0, 3, 104729])
+def test_order_lemmas_draws_match_fraction_reference(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(300):
+        items = harness._draw_order_lemmas(ours, cfg, index)
+        x, y, grid, spacing, k, witness = reference_order_lemmas_draw(ref, index)
+        assert items[0][1] == {"x": x, "y": y}
+        assert (items[0][1]["x"].points, items[0][1]["y"].points) == (x.points, y.points)
+        assert items[-1][1] == {"x": grid, "spacing": spacing, "k": k, "witness": witness}
+        assert len(items) == 2 + (index % 4 == 0)
+    assert ours.random() == ref.random()
+
+
+def test_inverted_gap_far_witness_is_101_spacings_out(monkeypatch):
+    seen = []
+    bound = harness.order_violation_bound
+
+    def spy(r, x, y):
+        seen.append(x.line_coords)
+        return bound(r, x, y)
+
+    monkeypatch.setattr(harness, "order_violation_bound", spy)
+    x = PointSet.of([0, F(1, 3), 3, F(9, 2)])
+    tally = Counter()
+    assert harness._check_inverted_gap(tally, x, F(3, 2), 1, True) is None
+    assert harness._check_inverted_gap(tally, x, F(3, 2), 1, False) is None
+    assert seen == [PointSet.of([0, F(1, 3), 3, F(9, 2), F(9, 2) + 101 * F(3, 2)]), x]
+    assert tally["inconclusive"] == 1
