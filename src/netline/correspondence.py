@@ -1,8 +1,8 @@
 """Finite metric spaces, relations between them, and exact distortion.
 
-Distortion computations run on integer matrices: `geometry._scaled`
-multiplies both spaces by one scale, 2·lcm of their denominators, which
-keeps the inner O(|R|^2) loop on machine-friendly Python ints while staying
+A space stores ints over one denominator; `geometry._scaled` rescales two
+stored forms to one scale, 2·lcm of their denominators, so distortion's
+inner O(|R|^2) loop runs on machine-friendly Python ints while staying
 exact.  Every comparison is homogeneous, so the factor 2 changes nothing.
 """
 
@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from operator import add
 from typing import Iterable, Sequence, Union
 
-from .geometry import PointSet, ScalarLike, _form, _nearest, _scaled, as_scalar
+from .geometry import PointSet, ScalarLike, _form, _Ints, _nearest, _scaled, as_scalar
 
 Pair = tuple[int, int]
 
@@ -22,24 +23,28 @@ Pair = tuple[int, int]
 class FiniteMetricSpace:
     """Finite metric space given by its line coordinates or by a matrix.
 
-    A line space stores only its strictly increasing coordinates, which
-    already force every metric axiom; its distances are derived on demand.
-    A matrix space is validated against the full metric contract: zero
-    diagonal, symmetry, strictly positive off-diagonal entries and the exact
-    triangle inequality, on ints over one scale (O(n^3), fine at desk scale).
+    ``metric`` is ints over one denominator: a line space's `PointSet`, whose
+    increasing coordinates already force every metric axiom, or a matrix's
+    entries row-major, also accepted as rows of exact values.  A matrix is
+    validated against the full metric contract: zero diagonal, symmetry,
+    strictly positive off-diagonal entries and the exact triangle inequality
+    (O(n^3), fine at desk scale).  ``dist`` is a Fraction view.
     """
 
-    metric: PointSet | tuple[tuple[Fraction, ...], ...]
+    metric: _Ints
 
     def __post_init__(self) -> None:
         if isinstance(self.metric, PointSet):
             return
-        n = len(self.metric)
+        if type(self.metric) is not _Ints:  # rows of exact values
+            if any(len(row) != len(self.metric) for row in self.metric):
+                raise ValueError("distance matrix must be square")
+            object.__setattr__(self, "metric", _Ints.from_ints(
+                *_form(v for row in self.metric for v in row)))
+        n = self.n
         if n == 0:
             raise ValueError("a metric space needs at least one point")
-        if any(len(row) != n for row in self.metric):
-            raise ValueError("distance matrix must be square")
-        _, d = _scaled(*map(_form, self.metric))
+        d = self._int_rows(self.metric.ints)
         for i, ri in enumerate(d):
             if ri[i] != 0:
                 raise ValueError("diagonal must be zero")
@@ -72,23 +77,29 @@ class FiniteMetricSpace:
 
     @property
     def dist(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The distance matrix, built from the coordinates for a line space."""
-        if isinstance(self.metric, PointSet):
-            pts = self.metric.points
-            return tuple(tuple(abs(p - q) for q in pts) for p in pts)
-        return self.metric
+        """The distance matrix in Fractions, built from the stored ints."""
+        den = self.metric.den
+        return tuple(tuple(Fraction(v, den) for v in row)
+                     for row in self._int_rows(self.metric.ints))
 
     @property
     def n(self) -> int:
-        return len(self.metric)
+        k = len(self.metric.ints)
+        return k if isinstance(self.metric, PointSet) else isqrt(k)
+
+    def _int_rows(self, ints: Sequence[int]) -> list[Sequence[int]]:
+        """The distance rows over the stored form's den, given its ints or
+        their rescaling: a line space's |a - b|, else the row-major slices."""
+        if isinstance(self.metric, PointSet):
+            return [[abs(a - b) for b in ints] for a in ints]
+        return [ints[k:k + self.n] for k in range(0, len(ints), self.n)]
 
 
 def diam(x: FiniteMetricSpace) -> Fraction:
     """Largest distance; zero for the one-point space."""
-    pts = x.line_coords
-    if pts is not None:
-        return Fraction(pts.ints[-1] - pts.ints[0], pts.den)
-    return max(map(max, x.dist))
+    m = x.metric
+    top = m.ints[-1] - m.ints[0] if isinstance(m, PointSet) else max(m.ints)
+    return Fraction(top, m.den)
 
 
 def gh_to_point(x: FiniteMetricSpace) -> Fraction:
@@ -103,9 +114,9 @@ def scale_space(x: FiniteMetricSpace, lam: ScalarLike) -> FiniteMetricSpace:
         raise ValueError("scale factor must be nonnegative")
     if f == 0:
         return FiniteMetricSpace.singleton()
-    if x.line_coords is not None:
-        return FiniteMetricSpace(x.line_coords.scale(f))
-    return FiniteMetricSpace(tuple(tuple(v * f for v in row) for row in x.dist))
+    m = x.metric
+    return FiniteMetricSpace(type(m).from_ints([v * f.numerator for v in m.ints],
+                                               m.den * f.denominator))
 
 
 def _canonical_pairs(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
@@ -190,23 +201,13 @@ class DistortionCertificate:
 RelationLike = Union[Relation, Correspondence]
 
 
-def _line_distances(xs: Sequence[int]) -> list[list[int]]:
-    return [[abs(a - b) for b in xs] for a in xs]
-
-
 def scaled_int_matrices(
     x: FiniteMetricSpace, y: FiniteMetricSpace
 ) -> tuple[int, list[list[int]], list[list[int]]]:
-    """Both matrices over a common denominator, as plain int matrices."""
-    xs, ys = x.line_coords, y.line_coords
-    if xs is not None and ys is not None:
-        den, lines = _scaled((xs.ints, xs.den), (ys.ints, ys.den))
-        return den, *map(_line_distances, lines)
-    # a line space's rows: the distances of its ints, over its denominator
-    fx, fy = ([(row, p.den) for row in _line_distances(p.ints)] if p is not None
-              else map(_form, s.dist) for p, s in ((xs, x), (ys, y)))
-    den, rows = _scaled(*fx, *fy)
-    return den, rows[: x.n], rows[x.n :]
+    """Both matrices over a common denominator, as plain int matrices: the
+    rows of one rescale of both stored forms."""
+    den, (fx, fy) = _scaled((x.metric.ints, x.metric.den), (y.metric.ints, y.metric.den))
+    return den, x._int_rows(fx), y._int_rows(fy)
 
 
 def int_distortion(

@@ -3,17 +3,14 @@
 Scalars travel as exact strings; JSON floats are rejected because they are
 already rounded.  A scalar string is whatever `fractions.Fraction` accepts
 on the running Python; "p/q", integers and plain decimals like "3.25" are
-portable.  The forms the program writes, ASCII "-?digits" and
-"-?digits/digits", are read with `int()`, everything else by
-`Fraction(str)` itself.  Points and intervals go straight from strings to
-ints over one denominator, the form `geometry` stores, with no Fraction per
-scalar: when every coordinate, or every interval end, is a string in a
-written form, one pattern pass over the joined list checks them all and
-each distinct denominator is converted once.  Any other list is read scalar
-by scalar, which accepts the same values and reports the first bad field in
-document order.  Printing is canonical and deterministic, so
-parse(print(x)) = x bit-exact and identical inputs always produce
-byte-identical documents.
+portable.  Coordinates, interval ends and matrix entries become the ints
+over one denominator that the spaces store.  When every scalar of a list is
+in a form the program writes, ASCII "-?digits" or "-?digits/digits", one
+pattern pass checks them all and `int()` converts them; any other list, and
+any single scalar, is read by `Fraction(str)`, which gives the same values
+and reports the first bad field in document order.  Printing is canonical
+and deterministic, so parse(print(x)) = x bit-exact and identical inputs
+always produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ from operator import itemgetter, mul
 from typing import Any, Callable, Union
 
 from .correspondence import Correspondence, FiniteMetricSpace, Relation, distortion
-from .geometry import Form, IntervalUnion, PointSet, Window, _over_lcm, scalar_str
+from .geometry import Form, IntervalUnion, PointSet, Window, _Ints, _over_lcm, scalar_str
 from .solver import EXHAUSTIVE_LIMIT, GHResult, gh_exact
 
 SpaceObject = Union[PointSet, IntervalUnion, Window]
@@ -43,7 +40,6 @@ class FormatError(ValueError):
 
 # the forms the program writes; ASCII only, since `int()` also takes other digits
 _WRITTEN = "-?[0-9]+(?:/[0-9]+)?"
-_WRITTEN_ONE = re.compile(_WRITTEN)
 # matched one value at a time: a repeated group in one match would grow the
 # engine's backtracking stack with the length of the list
 _WRITTEN_ITEM = re.compile(f"{_WRITTEN},")
@@ -78,20 +74,13 @@ def _written(values: list[Any]) -> Form | None:
 
 
 def _ratio(value: Any, location: str | Callable[[], str]) -> tuple[int, int]:
-    """(num, den) of a document scalar, den > 0 and not reduced; a callable
-    ``location`` is called to build the field's location only if it fails."""
+    """(num, den) of a document scalar in lowest terms; a callable ``location``
+    is called to build the field's location only if it fails."""
     try:
-        if isinstance(value, str):
-            if _WRITTEN_ONE.fullmatch(value):
-                num, _, den = value.partition("/")
-                p, q = int(num), int(den or 1)
-                if q:  # a zero denominator goes to Fraction(str), which reports it
-                    return p, q
-            return Fraction(value).as_integer_ratio()
         if isinstance(value, bool):
             message = "expected an exact number, got a boolean"
-        elif isinstance(value, int):
-            return value, 1
+        elif isinstance(value, (int, str)):
+            return Fraction(value).as_integer_ratio()
         elif isinstance(value, float):
             message = "floats are not exact; write the value as a string"
         else:
@@ -99,6 +88,22 @@ def _ratio(value: Any, location: str | Callable[[], str]) -> tuple[int, int]:
     except (ValueError, ZeroDivisionError) as exc:
         message = f"not a rational: {value!r} ({exc})"
     raise FormatError(location() if callable(location) else location, message)
+
+
+def _read_rows(rows: list, where: str, message: str, width: int | None = None) -> Form:
+    """The scalars of rows that are lists (of ``width`` scalars, if given), flat
+    over the lcm of their denominators: in one `_written` step, else row by row,
+    which refuses the first bad row or scalar in document order."""
+    if {*map(type, rows)} == {list} and (width is None or {*map(len, rows)} == {width}):
+        form = _written(list(chain.from_iterable(rows)))
+        if form is not None:
+            return form
+    ratios = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or width is not None and len(row) != width:
+            raise FormatError(f"{where}[{i}]", message)
+        ratios += [_ratio(v, lambda: f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+    return _over_lcm(ratios)
 
 
 def parse_scalar(value: Any, location: str | Callable[[], str] = "$") -> Fraction:
@@ -132,18 +137,7 @@ def parse_space(doc: Any, location: str = "$") -> SpaceObject:
         where = f"{location}.intervals"
         if not isinstance(spans, list) or not spans:
             raise FormatError(where, "expected a nonempty list")
-        form = None
-        if {*map(type, spans)} == {list} and {*map(len, spans)} == {2}:
-            form = _written(list(chain.from_iterable(spans)))
-        if form is None:
-            ends = []
-            for i, span in enumerate(spans):
-                if not isinstance(span, list) or len(span) != 2:
-                    raise FormatError(f"{where}[{i}]", "expected a pair [lo, hi]")
-                lo, hi = span
-                ends += (_ratio(lo, lambda: f"{where}[{i}][0]"),
-                         _ratio(hi, lambda: f"{where}[{i}][1]"))
-            form = _over_lcm(ends)
+        form = _read_rows(spans, where, "expected a pair [lo, hi]", 2)
         try:
             return IntervalUnion.merge_ints(*form)
         except ValueError as exc:
@@ -212,18 +206,16 @@ def parse_metric_space(doc: Any, location: str = "$") -> FiniteMetricSpace:
         return FiniteMetricSpace.from_line(space)
     if kind == "matrix":
         rows = _require(doc, "dist", location)
+        where = f"{location}.dist"
         if not isinstance(rows, list) or not rows:
-            raise FormatError(f"{location}.dist", "expected a nonempty list of rows")
-        parsed = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise FormatError(f"{location}.dist[{i}]", "expected a list")
-            parsed.append(tuple(parse_scalar(v, lambda: f"{location}.dist[{i}][{j}]")
-                                for j, v in enumerate(row)))
+            raise FormatError(where, "expected a nonempty list of rows")
+        form = _read_rows(rows, where, "expected a list")
         try:
-            return FiniteMetricSpace(tuple(parsed))
+            if any(len(row) != len(rows) for row in rows):  # checked after every scalar
+                raise ValueError("distance matrix must be square")
+            return FiniteMetricSpace(_Ints.from_ints(*form))
         except ValueError as exc:
-            raise FormatError(f"{location}.dist", str(exc))
+            raise FormatError(where, str(exc))
     raise FormatError(
         f"{location}.kind",
         f"unknown kind {kind!r}; expected points, grid or matrix",

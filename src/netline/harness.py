@@ -38,6 +38,7 @@ from .geometry import (
     ScalarLike,
     Window,
     _form,
+    _Ints,
     _over_lcm,
     _scaled,
     as_scalar,
@@ -201,13 +202,13 @@ def random_metric_space(
         pts = random_point_set(rng, cfg, min_points=n, max_points=n)
         return FiniteMetricSpace.from_line(pts)
     q = rng.randrange(1, DENOMINATOR_BOUND + 1)
-    scale = random_scalar(rng, Fraction(1, 2), Fraction(3), 8)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    # every distance (p/s)·(q + r)/q, for the scale p/s in [1/2, 3], over s·q
+    p, s = _random_ratio(rng, ([1, 6], 2), 8)
+    ints = [0] * (n * n)
     for i in range(n):
         for j in range(i + 1, n):
-            d = scale * Fraction(q + rng.randrange(0, q + 1), q)
-            rows[i][j] = rows[j][i] = d
-    return FiniteMetricSpace(tuple(tuple(row) for row in rows))
+            ints[i * n + j] = ints[j * n + i] = p * (q + _below(rng, q + 1))
+    return FiniteMetricSpace(_Ints.from_ints(ints, s * q))
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +220,12 @@ def _drop_point(
 ) -> PointSet | FiniteMetricSpace:
     """``value`` without its ``k``-th point."""
     if isinstance(value, PointSet):
-        return PointSet(value.points[:k] + value.points[k + 1 :])
-    if isinstance(value.metric, PointSet):
-        return FiniteMetricSpace(_drop_point(value.metric, k))
-    rows = value.metric[:k] + value.metric[k + 1 :]
-    return FiniteMetricSpace(tuple(row[:k] + row[k + 1 :] for row in rows))
+        return PointSet.from_ints(value.ints[:k] + value.ints[k + 1 :], value.den)
+    m, n = value.metric, value.n
+    if isinstance(m, PointSet):
+        return FiniteMetricSpace(_drop_point(m, k))
+    ints = [v for p, v in enumerate(m.ints) if k not in divmod(p, n)]  # not in row or column k
+    return FiniteMetricSpace(_Ints.from_ints(ints, m.den))
 
 
 def shrink_instance(check: Check, instance: dict, detail: str) -> tuple[dict, str]:

@@ -36,6 +36,7 @@ counts a search node.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,15 +142,19 @@ def gh_exact(
     """Minimum distortion over all correspondences, by subset enumeration.
 
     Refuses instances with |X|*|Y| > limit: the subset tree has 2^(|X||Y|)
-    leaves and is meant for desk-scale inputs and oracle duty.
+    leaves and is meant for desk-scale inputs and oracle duty.  It also refuses
+    those whose search, |X|*|Y| + 1 nested frames, would pass the recursion limit.
     """
     n, m = x.n, y.n
     nm = n * m
-    if nm > limit:
-        raise ExhaustiveLimitError(
-            f"|X|*|Y| = {nm} exceeds the exhaustive limit {limit}; "
-            "use gh_branch_bound"
-        )
+    # 32 frames stay free for C-level calls below (exec, a test runner's hooks)
+    frame, depth = sys._getframe(), nm + 1 + 32
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    if nm > limit or depth > sys.getrecursionlimit():
+        why = (f"exceeds the exhaustive limit {limit}" if nm > limit else "pair slots "
+               f"nest deeper than the recursion limit {sys.getrecursionlimit()}")
+        raise ExhaustiveLimitError(f"|X|*|Y| = {nm} {why}; use gh_branch_bound")
     den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
 
     # pair slot k is (i, j) = divmod(k, m)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import random
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -335,6 +336,20 @@ def test_gh_exact_over_limit_exits_2(tmp_path, capsys):
     )
     assert main(["dist-gh", x, y, "--method", "exact"]) == 2
     assert "branch_bound" in capsys.readouterr().err
+
+
+def test_gh_exact_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+    # 1,600 pair slots within --limit; the subset search would nest one frame
+    # per slot and overflow the stack, so it is refused before it starts
+    rng = random.Random(1)
+    x, y = (write(tmp_path / f"{name}.json", {"kind": "points", "coords": [
+        str(v) for v in sorted(rng.sample(range(48), 40))]}) for name in "xy")
+    assert main(["dist-gh", x, y, "--method", "exact", "--limit", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: |X|*|Y| = 1600 pair slots nest deeper than the recursion limit "
+        f"{sys.getrecursionlimit()}; use gh_branch_bound\n")
+    assert captured.out == ""
 
 
 def test_cli_outputs_are_byte_identical_on_rerun(spaces, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -18,6 +19,8 @@ from netline import (
     gh_to_point,
     scale_space,
 )
+from netline.correspondence import scaled_int_matrices
+from netline.geometry import _form, _scaled
 from netline.harness import GeneratorConfig, random_metric_space
 
 
@@ -162,3 +165,57 @@ def test_matrix_space_refusals(rows, message):
     with pytest.raises(ValueError) as exc:
         FiniteMetricSpace(rows)
     assert type(exc.value) is ValueError and str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the stored int forms against Fraction references
+
+
+def reference_scaled_int_matrices(x, y):
+    """`scaled_int_matrices` before matrix spaces stored ints: line pairs from
+    their coordinates, any other pair from rows of Fractions, frozen."""
+    def line_distances(xs):
+        return [[abs(a - b) for b in xs] for a in xs]
+
+    xs, ys = x.line_coords, y.line_coords
+    if xs is not None and ys is not None:
+        den, lines = _scaled((xs.ints, xs.den), (ys.ints, ys.den))
+        return den, *map(line_distances, lines)
+    fx, fy = ([(row, p.den) for row in line_distances(p.ints)] if p is not None
+              else map(_form, s.dist) for p, s in ((xs, x), (ys, y)))
+    den, rows = _scaled(*fx, *fy)
+    return den, rows[: x.n], rows[x.n :]
+
+
+def random_space(rng: random.Random, kind: str) -> FiniteMetricSpace:
+    cfg = GeneratorConfig()
+    while True:
+        space = random_metric_space(rng, cfg, max_points=6)
+        if (space.line_coords is not None) == (kind == "line") and space.n > 1:
+            return space
+
+
+@pytest.mark.parametrize("kinds", [("line", "line"), ("line", "matrix"),
+                                   ("matrix", "line"), ("matrix", "matrix")])
+def test_int_matrices_match_the_fraction_reference(kinds):
+    rng = random.Random(24)
+    for _ in range(150):
+        x, y = (random_space(rng, kind) for kind in kinds)
+        assert scaled_int_matrices(x, y) == reference_scaled_int_matrices(x, y)
+
+
+def test_matrix_space_operations_match_fraction_references():
+    rng = random.Random(7)
+    for _ in range(300):
+        x = random_space(rng, rng.choice(("line", "matrix")))
+        rows = x.dist
+        assert diam(x) == max(map(max, rows))
+        lam = F(rng.randint(1, 20), rng.randint(1, 12))
+        scaled = scale_space(x, lam)
+        assert scaled.dist == tuple(tuple(v * lam for v in row) for row in rows)
+        assert (scaled.line_coords is None) == (x.line_coords is None)
+        # the matrix form of a line space is the same metric, stored otherwise
+        m = FiniteMetricSpace.from_matrix(rows)
+        assert m.line_coords is None and m.dist == rows and diam(m) == diam(x)
+        assert scale_space(m, lam) == FiniteMetricSpace.from_matrix(scaled.dist)
+        assert math.gcd(m.metric.den, *m.metric.ints) == 1  # lowest terms

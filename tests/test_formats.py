@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
@@ -545,7 +547,7 @@ def test_whole_list_reads_agree_with_the_scalar_reader():
         if want[0] != "PointSet":
             reached["refused"] += 1
         else:
-            written = all(type(v) is str and formats._WRITTEN_ONE.fullmatch(v)
+            written = all(type(v) is str and re.fullmatch(formats._WRITTEN, v)
                           for v in scalars)
             reached["written" if written else "mixed"] += 1
         # the same scalars as interval ends, in order or not, and with one
@@ -594,3 +596,104 @@ def test_a_bad_scalar_deep_in_a_long_list_is_located(bad):
     assert exc.value.location == "$.coords[250]"
     assert str(exc.value) == str(outcome(reference_parse, {
         "kind": "points", "coords": coords})[1])
+
+
+# ---------------------------------------------------------------------------
+# matrices read as one list against the row-by-row reader they replace
+
+
+def reference_matrix(doc):
+    """`parse_metric_space`'s matrix branch before matrices were read as one
+    list, frozen as the reference: each row scalar by scalar, then the rows."""
+    parsed = []
+    for i, row in enumerate(doc["dist"]):
+        if not isinstance(row, list):
+            raise FormatError(f"$.dist[{i}]", "expected a list")
+        parsed.append(tuple(F(*reference_ratio(v, f"$.dist[{i}][{j}]"))
+                            for j, v in enumerate(row)))
+    try:
+        return FiniteMetricSpace(tuple(parsed))
+    except ValueError as exc:
+        raise FormatError("$.dist", str(exc))
+
+
+def matrix_outcome(parse, doc):
+    try:
+        return parse(doc).dist
+    except FormatError as exc:
+        return exc.location, str(exc)
+
+
+def random_matrix(rng: random.Random) -> list[list[F]]:
+    """A band metric (distances in a 2:1 range) or a line subset's distances."""
+    n = rng.randint(1, 8)
+    q = rng.randint(1, 12)
+    if rng.random() < 0.5:
+        coords = sorted(F(v, q) for v in rng.sample(range(-40 * q, 40 * q), n))
+        return [[abs(a - b) for b in coords] for a in coords]
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = F(q + rng.randint(0, q), q)
+    return rows
+
+
+def test_matrix_reads_agree_with_the_row_reader():
+    rng = random.Random(24)
+    reached = Counter()
+    for _ in range(600):
+        rows = random_matrix(rng)
+        n = len(rows)
+        fallback = rng.choice((0.0, 0.0, 0.05, 0.5))
+        dist = [[spelled(rng, v, fallback) for v in row] for row in rows]
+        roll = rng.random()
+        if roll < 0.3:  # a bad scalar anywhere
+            dist[rng.randrange(n)][rng.randrange(n)] = rng.choice(BAD_SCALARS)
+        elif roll < 0.4:  # a row that is not a list
+            dist[rng.randrange(n)] = rng.choice(("0 1", None, 0, {"0": 1}))
+        elif roll < 0.5:  # a short or a long row
+            row = dist[rng.randrange(n)]
+            if rng.random() < 0.5:
+                row.pop()
+            else:
+                row.append("1")
+        elif roll < 0.6 and n > 1:  # an asymmetric or triangle-breaking entry
+            dist[rng.randrange(n)][rng.randrange(n)] = str(F(rng.randint(0, 60), 4))
+        if roll < 0.6 and rng.random() < 0.3:  # and a second fault after it
+            dist.append(rng.choice((["x"] * (n + 1), "0", ["0"])))
+        doc = {"kind": "matrix", "dist": dist}
+        want = matrix_outcome(reference_matrix, doc)
+        assert matrix_outcome(parse_metric_space, doc) == want, dist
+        reached["read" if isinstance(want[0], tuple) else want[0]] += 1
+    # spaces, bad scalars, bad rows and refused matrices are all reached
+    assert reached["read"] > 100 and reached["$.dist"] > 50, reached
+    assert sum(v for k, v in reached.items() if k.startswith("$.dist[")) > 100, reached
+
+
+@pytest.mark.parametrize("dist, location, message", [
+    # a bad scalar in row 0 ahead of a row that is not a list
+    ([["0", "x"], "1 0"], "$.dist[0][1]", "not a rational: 'x' "),
+    # a row that is not a list ahead of a bad scalar
+    (["0 1", ["1", "x"]], "$.dist[0]", "expected a list"),
+    # a bad scalar in a matrix that is not square, short row first
+    ([["0"], ["1", 0.5]], "$.dist[1][1]", "floats are not exact"),
+    ([["0", "1"], ["1", "0"], ["1", "1/0"]], "$.dist[2][1]", "not a rational: '1/0' "),
+    ([["0", "1"], ["1"]], "$.dist", "distance matrix must be square"),
+    ([["0", "1/2"], ["2/4", "0"], []], "$.dist", "distance matrix must be square"),
+], ids=["bad-then-row", "row-then-bad", "short-then-float", "extra-row-zero-den",
+        "short-row", "extra-empty-row"])
+def test_matrix_errors_report_the_first_field_in_document_order(dist, location, message):
+    doc = {"kind": "matrix", "dist": dist}
+    with pytest.raises(FormatError) as exc:
+        parse_metric_space(doc)
+    assert exc.value.location == location
+    assert str(exc.value).startswith(f"{location}: {message}")
+    assert matrix_outcome(reference_matrix, doc) == (location, str(exc.value))
+
+
+def test_matrix_spellings_of_one_value_give_equal_spaces():
+    a = parse_metric_space({"kind": "matrix", "dist": [["0", "2/4"], ["1/2", "-0"]]})
+    b = parse_metric_space({"kind": "matrix", "dist": [["0", "1/2"], ["1/2", "0"]]})
+    c = parse_metric_space({"kind": "matrix", "dist": [["0", "0.5"], [" 1/2", 0]]})
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert (a.metric.ints, a.metric.den) == ((0, 1, 1, 0), 2)

@@ -377,6 +377,55 @@ def test_order_lemmas_draws_match_fraction_reference(seed):
     assert ours.random() == ref.random()
 
 
+def reference_random_metric_space(rng, cfg, max_points=4):
+    """`random_metric_space` as it drew band matrices in Fractions, frozen."""
+    n = rng.randrange(1, max_points + 1)
+    if n == 1:
+        return FiniteMetricSpace.singleton()
+    if rng.random() < 0.5:
+        return FiniteMetricSpace.from_line(
+            harness.random_point_set(rng, cfg, min_points=n, max_points=n))
+    q = rng.randrange(1, harness.DENOMINATOR_BOUND + 1)
+    scale = harness.random_scalar(rng, F(1, 2), F(3), 8)
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = scale * F(q + rng.randrange(0, q + 1), q)
+    return FiniteMetricSpace(tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 104729])
+def test_metric_space_draws_match_fraction_reference(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    cfg = GeneratorConfig(seed=seed)
+    kinds = Counter()
+    for k in range(400):
+        max_points = 4 + k % 5
+        x = harness.random_metric_space(ours, cfg, max_points)
+        want = reference_random_metric_space(ref, cfg, max_points)
+        assert x == want and x.dist == want.dist
+        kinds["line" if x.line_coords is not None else "matrix"] += 1
+    assert ours.getstate() == ref.getstate()
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_dropping_a_point_matches_the_fraction_reference():
+    rng = random.Random(24)
+    cfg = GeneratorConfig()
+    for _ in range(200):
+        x = harness.random_metric_space(rng, cfg, max_points=7)
+        rows = x.dist
+        for k in range(x.n if x.n > 1 else 0):  # never the last point
+            dropped = harness._drop_point(x, k)
+            keep = [i for i in range(x.n) if i != k]
+            assert dropped.dist == tuple(tuple(rows[i][j] for j in keep) for i in keep)
+            assert (dropped.line_coords is None) == (x.line_coords is None)
+            if x.line_coords is not None:
+                pts = x.line_coords.points
+                assert dropped.line_coords == PointSet(pts[:k] + pts[k + 1:])
+                assert harness._drop_point(x.line_coords, k) == dropped.line_coords
+
+
 def test_inverted_gap_far_witness_is_101_spacings_out(monkeypatch):
     seen = []
     bound = harness.order_violation_bound

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -78,6 +79,35 @@ def test_gh_exact_frozen_examples():
     z = line(0, 2, 5)
     assert gh_exact(z, z).exact == 0
     assert 2 * gh_exact(line(3, 9), line(6, 18)).exact == 6
+
+
+def test_gh_exact_refuses_rather_than_overflow_the_stack():
+    # a band matrix against a relabelled copy: the search reaches a leaf, one
+    # frame per pair slot, before it finds the relabelling
+    d = [[0, 16, 16, 10, 14], [16, 0, 18, 17, 16], [16, 18, 0, 14, 17],
+         [10, 17, 14, 0, 15], [14, 16, 17, 15, 0]]
+    perm = [2, 4, 0, 1, 3]
+    x = FiniteMetricSpace.from_matrix(d)
+    y = FiniteMetricSpace.from_matrix([[d[a][b] for b in perm] for a in perm])
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    found = []
+    old = sys.getrecursionlimit()
+    try:
+        # the runner's C-level calls count against the limit with no frame
+        for limit in range(depth + 16, depth + 80):
+            sys.setrecursionlimit(limit)
+            try:
+                found.append(gh_exact(x, y).exact)
+            except ExhaustiveLimitError:
+                found.append(None)
+    finally:
+        sys.setrecursionlimit(old)
+    # refused while the stack is short, exact once it is not, and never a
+    # RecursionError in between
+    assert found[0] is None and found[-1] == 0
+    assert found == sorted(found, key=lambda v: v is not None)
 
 
 def test_gh_exact_matches_oracle_on_random_small_instances():
