@@ -11,8 +11,10 @@ out of budget still exits 0 with the output flagged bounds-only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import harness
@@ -104,13 +106,26 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _naming(flag: str, path: str) -> Iterator[None]:
+    """Name the field a deformation refuses: the points file for a set
+    outside the window, ``flag`` for its parameters."""
+    try:
+        yield
+    except InvariantError:
+        raise
+    except ValueError as exc:
+        raise FormatError(path if "window" in str(exc) else flag, str(exc)) from None
+
+
 def cmd_contract(args: argparse.Namespace) -> int:
     x = _load_space(args.x)
     if not isinstance(x, PointSet):
         raise FormatError(args.x, "contract expects a points document")
     w = _load_window(args.window)
     lam = parse_scalar(args.lam, "--lam")
-    result = contract(x, lam, w)
+    with _naming("--lam", args.x):
+        result = contract(x, lam, w)
     _write_or_print(dumps_doc(format_space(result)), args.out)
     return 0
 
@@ -121,7 +136,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise FormatError(args.x, "trace expects a points document")
     w = _load_window(args.window)
     grid = [parse_scalar(g, "--grid") for g in args.grid.split(",")]
-    tr = run_trace(x, w, grid)
+    with _naming("--grid", args.x):
+        tr = run_trace(x, w, grid)
     _write_or_print(trace_csv(tr), args.out)
     return 0
 

@@ -4,6 +4,8 @@ A space stores ints over one denominator; `geometry._scaled` rescales two
 stored forms to one scale, 2·lcm of their denominators, so distortion's
 inner O(|R|^2) loop runs on machine-friendly Python ints while staying
 exact.  Every comparison is homogeneous, so the factor 2 changes nothing.
+Two line spaces are scanned on their rescaled coordinates, with no
+distance matrix; any other pair scans the rows of `scaled_int_matrices`.
 """
 
 from __future__ import annotations
@@ -239,12 +241,42 @@ def distortion(
 ) -> DistortionCertificate:
     """Exact sup over pairs of pairs of | |xx'| - |yy'| |, with witness.
 
-    Pairs are scanned in sorted order (see int_distortion for the witness).
+    Pairs are scanned in sorted order (see int_distortion for the witness),
+    those of two line spaces on their coordinates (see _line_distortion).
     """
     pairs = sigma.pairs
     for i, j in pairs:
         if i >= x.n or j >= y.n:
             raise ValueError(f"pair ({i}, {j}) out of range for the spaces")
-    den, dx, dy = scaled_int_matrices(x, y)
-    value, witness = int_distortion(pairs, dx, dy)
+    mx, my = x.metric, y.metric
+    if isinstance(mx, PointSet) and isinstance(my, PointSet):
+        den, (xs, ys) = _scaled((mx.ints, mx.den), (my.ints, my.den))
+        value, witness = _line_distortion(pairs, xs, ys)
+    else:
+        den, dx, dy = scaled_int_matrices(x, y)
+        value, witness = int_distortion(pairs, dx, dy)
     return DistortionCertificate(Fraction(value, den), witness)
+
+
+def _line_distortion(
+    pairs: Sequence[Pair], xs: list[int], ys: list[int]
+) -> tuple[int, tuple[Pair, Pair]]:
+    """`int_distortion` of two line spaces from their ascending coordinates:
+    the same scan of | |xs[i] - xs[i2]| - |ys[j] - ys[j2]| |, with no matrix.
+    The pairs are sorted, so i2 >= i and |xs[i] - xs[i2]| = xs[i2] - xs[i]."""
+    best = -1
+    witness: tuple[Pair, Pair] | None = None
+    for k, (i, j) in enumerate(pairs):
+        a, b = xs[i], ys[j]
+        for i2, j2 in pairs[k:]:
+            u = ys[j2] - b
+            if u < 0:
+                u = -u
+            v = xs[i2] - a - u
+            if v < 0:
+                v = -v
+            if v > best:
+                best = v
+                witness = ((i, j), (i2, j2))
+    assert witness is not None
+    return best, witness

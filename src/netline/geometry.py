@@ -9,10 +9,10 @@ modelled by a finite `Window`, and covering radii are always taken relative
 to one.
 
 Distances between sets and the deformation share one integer kernel: each
-stored form is rescaled by an int factor to 2·lcm of the denominators (of
+stored form is rescaled by one int factor to 2·lcm of the denominators (of
 the sets, and of a window and every radius), so every endpoint and gap
-midpoint is an int, spans clamp and fuse as ints, and one O(n + m) merge
-gives a directed sup.
+midpoint is an int, spans fuse as ints and clamp only at the two outer
+ends, and one O(n + m) merge gives a directed sup.
 """
 
 from __future__ import annotations
@@ -261,9 +261,14 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
 
 
 def _scaled(*forms: Form) -> tuple[int, list[list[int]]]:
-    """The scale 2·lcm of the forms' denominators, and each form's ints over it."""
+    """The scale 2·lcm of the forms' denominators, and each form's ints over
+    it, each form times its one factor scale // den."""
     scale = 2 * lcm(*{den for _, den in forms})
-    return scale, [[v * (scale // den) for v in ints] for ints, den in forms]
+    scaled = []
+    for ints, den in forms:
+        f = scale // den
+        scaled.append([v * f for v in ints])
+    return scale, scaled
 
 
 def _symmetric_sup(a: list[int], b: list[int]) -> int:
@@ -275,14 +280,24 @@ def _clamp_fuse(
     los: Sequence[int], his: Sequence[int], r: int, lo: int, hi: int
 ) -> list[int]:
     """Spans [a - r, b + r] of the ascending disjoint spans (a, b) of zip(los,
-    his), clamped to [lo, hi] and fused; a point set passes its points twice."""
+    his), fused and clipped to [lo, hi]; a point set passes its points twice.
+
+    Needs every widened span to meet [lo, hi].  Then two spans overlap
+    exactly when their clamped spans do, and every end but the first and
+    the last borders a gap between two spans that meet [lo, hi], so it lies
+    inside; clamping those two ends equals clamping every span before the
+    fuse.
+    """
     flat: list[int] = []
     for p, q in zip(los, his):
-        a, b = max(p - r, lo), min(q + r, hi)
-        if flat and a <= flat[-1]:
-            flat[-1] = b  # right ends ascend too
+        if flat and p - r <= flat[-1]:
+            flat[-1] = q + r  # right ends ascend too
         else:
-            flat += (a, b)
+            flat += (p - r, q + r)
+    if flat[0] < lo:
+        flat[0] = lo
+    if flat[-1] > hi:
+        flat[-1] = hi
     return flat
 
 

@@ -3,11 +3,12 @@
 The deformation at parameter lam thickens the set by lam/(1-lam), clipped
 to the window; lam = 1 is an explicit case mapping to the whole window.
 Clipping keeps the windowed model closed under the deformation and changes
-no Hausdorff quantity measured against the window.  Clamping each point's
-span before one sorted fuse equals clipping after: clamped spans stay
-nonempty, and disjoint ones stay apart.  All of it runs on the stored
-ints of the sets and the window, rescaled to one scale with every radius;
-each deformed set is built from its ints by the int constructor, and
+no Hausdorff quantity measured against the window.  Every span [p - r,
+p + r] of a point in the window meets the window, so one sorted fuse that
+clamps only its two outer ends equals clipping after.  All of it runs on
+the stored ints of the sets and the window, rescaled to one scale with
+every radius; a radius f(lam) = n/(d - n) of lam = n/d enters as that int
+pair, each deformed set is built from its ints by the int constructor, and
 Fractions are built only for distances and bounds.
 """
 
@@ -24,7 +25,6 @@ from .geometry import (
     ScalarLike,
     Window,
     _clamp_fuse,
-    _form,
     _scaled,
     _symmetric_sup,
     as_scalar,
@@ -32,30 +32,40 @@ from .geometry import (
 )
 
 
-def f_map(lam: ScalarLike) -> Fraction | None:
-    """Exact lam/(1-lam) on [0, 1); None at lam = 1, where it is infinite."""
+def _radius(lam: ScalarLike) -> tuple[int, int] | None:
+    """lam/(1-lam) as (n, d - n) for lam = n/d, in lowest terms since
+    gcd(n, d - n) = gcd(n, d) = 1; None at lam = 1, where it is infinite."""
     v = as_scalar(lam)
     n, d = v.numerator, v.denominator
     if not 0 <= n <= d:
         raise ValueError("lam must lie in [0, 1]")
-    return None if n == d else Fraction(n, d - n)
+    return None if n == d else (n, d - n)
+
+
+def f_map(lam: ScalarLike) -> Fraction | None:
+    """Exact lam/(1-lam) on [0, 1); None at lam = 1, where it is infinite."""
+    r = _radius(lam)
+    return None if r is None else Fraction(*r)
 
 
 def _deformations(
     sets: Sequence[PointSet], lams: Sequence[ScalarLike], w: Window
-) -> tuple[int, list[int], list[Fraction | None], list[list[list[int]]]]:
-    """(scale, window, f(lam) per lam, each set's flat int spans per lam)."""
+) -> tuple[int, list[int], list[int], list[list[list[int]]]]:
+    """(scale, window, radius per lam, each set's flat int spans per lam),
+    all ints over scale."""
     # the first parameter is checked before the window, the rest after it
-    radii = [f_map(lam) for lam in lams[:1]]
+    radii = [_radius(lam) for lam in lams[:1]]
     if not all(w.contains(s) for s in sets):
         raise ValueError("point set must lie inside the window")
-    radii += map(f_map, lams[1:])
+    radii += map(_radius, lams[1:])
     # at lam = 1, a radius of the window's width fuses any set into the window
-    finite = [w.hi - w.lo if f is None else f for f in radii]
-    scale, (window, rs, *pts) = _scaled(
-        (w.ints, w.den), _form(finite), *[(s.ints, s.den) for s in sets])
-    fused = [[_clamp_fuse(p, p, r, *window) for r in rs] for p in pts]
-    return scale, window, radii, fused
+    lo, hi = w.ints
+    forms = [([hi - lo], w.den) if f is None else ([f[0]], f[1]) for f in radii]
+    forms += [(s.ints, s.den) for s in sets]
+    scale, (window, *scaled) = _scaled((w.ints, w.den), *forms)
+    rs = [r for (r,) in scaled[:len(radii)]]
+    fused = [[_clamp_fuse(p, p, r, *window) for r in rs] for p in scaled[len(radii):]]
+    return scale, window, rs, fused
 
 
 def contract(x: PointSet, lam: ScalarLike, w: Window) -> IntervalUnion:
@@ -78,10 +88,10 @@ def continuity_in_lambda(
     increases the distance.
     """
     v1, v2 = as_scalar(lam1), as_scalar(lam2)
-    if not (0 <= v1 < 1 and 0 <= v2 < 1):
+    if not (0 <= v1.numerator < v1.denominator and 0 <= v2.numerator < v2.denominator):
         raise ValueError("both parameters must lie in [0, 1)")
-    scale, _, (f1, f2), [[a, b]] = _deformations([x], [v1, v2], w)
-    return Fraction(_symmetric_sup(a, b), scale), abs(f1 - f2)
+    scale, _, (r1, r2), [[a, b]] = _deformations([x], [v1, v2], w)
+    return Fraction(_symmetric_sup(a, b), scale), Fraction(abs(r1 - r2), scale)
 
 
 def stability_in_space(
@@ -93,10 +103,10 @@ def stability_in_space(
     than they started, and window clipping preserves that, exactly.
     """
     v = as_scalar(lam)
-    if not 0 <= v < 1:
+    if not 0 <= v.numerator < v.denominator:
         raise ValueError("lam must lie in [0, 1)")
     # lam = 0 leaves each set as it is, so the second pair is the inputs
-    scale, _, _, flats = _deformations([x, xn], [v, Fraction(0)], w)
+    scale, _, _, flats = _deformations([x, xn], [v, 0], w)
     return tuple(Fraction(_symmetric_sup(a, b), scale) for a, b in zip(*flats))
 
 
@@ -136,12 +146,12 @@ def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:
     steps = list(zip(lams, radii, flats))
     rows: list[TraceRow] = []
     # the first row steps from itself: distance 0, bound 0
-    for (lam, f_lam, flat), (_, prev_f, prev) in zip(steps, steps[:1] + steps):
-        if f_lam is None:
-            # ascending grid: prev_f is None only when lam repeats 1
-            bound = Fraction(0) if prev_f is None else None
+    for (lam, r, flat), (prev_lam, prev_r, prev) in zip(steps, steps[:1] + steps):
+        if lam == 1:
+            # ascending grid: prev_lam is 1 only when lam repeats 1
+            bound = Fraction(0) if prev_lam == 1 else None
         else:
-            bound = abs(f_lam - prev_f)
+            bound = Fraction(abs(r - prev_r), scale)
         rows.append(TraceRow(
             lam, IntervalUnion.from_ints(flat, scale),
             Fraction(_symmetric_sup(flat, window), scale),

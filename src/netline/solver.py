@@ -136,6 +136,16 @@ def _reach(
     return cur
 
 
+def _too_deep(frames: int) -> bool:
+    """Whether ``frames`` nested calls on top of the caller's stack would pass
+    the recursion limit; 32 frames stay free for C-level calls below (exec,
+    a test runner's hooks), which count against the limit without a frame."""
+    frame, depth = sys._getframe(1), frames + 32
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth > sys.getrecursionlimit()
+
+
 def gh_exact(
     x: FiniteMetricSpace, y: FiniteMetricSpace, limit: int = EXHAUSTIVE_LIMIT
 ) -> GHResult:
@@ -147,11 +157,7 @@ def gh_exact(
     """
     n, m = x.n, y.n
     nm = n * m
-    # 32 frames stay free for C-level calls below (exec, a test runner's hooks)
-    frame, depth = sys._getframe(), nm + 1 + 32
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    if nm > limit or depth > sys.getrecursionlimit():
+    if nm > limit or _too_deep(nm + 1):
         why = (f"exceeds the exhaustive limit {limit}" if nm > limit else "pair slots "
                f"nest deeper than the recursion limit {sys.getrecursionlimit()}")
         raise ExhaustiveLimitError(f"|X|*|Y| = {nm} {why}; use gh_branch_bound")
@@ -430,7 +436,11 @@ def gh_branch_bound(
     incumbent.  Each call is one node, the switch from rows to columns
     included.  When ``budget`` nodes are exhausted the result is bounds
     only, the bisected refinement bound below the incumbent, unless that
-    bound meets it.
+    bound meets it.  The search nests one frame per step, at most
+    |X| + 1 + |Y| of them and at most ``budget`` + 1, so a search that
+    would pass the recursion limit is refused with ``ExhaustiveLimitError``;
+    refinement runs first, so an instance it closes at the root solves at
+    any size.
     """
     n, m = x.n, y.n
     den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
@@ -438,8 +448,15 @@ def gh_branch_bound(
     line_pair = x.line_coords is not None and y.line_coords is not None
     refine = _singleton_refine if line_pair else _refine
     live = refine(dx, dy, best_val) if best_val > lower_int else None
+    # search(0) .. search(n + 1 + m), and no deeper than the budget's nodes
+    depth = n + m + 2 if budget is None else min(n + m + 2, budget + 1)
     if live is None:
         lower_int = best_val
+    elif _too_deep(depth):
+        steps = (f"|X| + |Y| = {n + m} search steps" if depth == n + m + 2
+                 else f"{depth} search steps under a budget of {budget} nodes")
+        raise ExhaustiveLimitError(
+            f"{steps} nest deeper than the recursion limit {sys.getrecursionlimit()}")
 
     asg: list[Pair] = []
     nodes = 0

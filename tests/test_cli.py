@@ -352,6 +352,52 @@ def test_gh_exact_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_branch_bound_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+    # 1,200 points against a 2-point matrix: refinement leaves the root open,
+    # and the search would nest one frame per step and overflow the stack
+    x = write(tmp_path / "x.json", {"kind": "points", "coords": [
+        str(2 * k) for k in range(1200)]})
+    y = write(tmp_path / "y.json", {"kind": "matrix", "dist": [["0", "7"], ["7", "0"]]})
+    assert main(["dist-gh", x, y, "--method", "branch-bound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: |X| + |Y| = 1202 search steps nest deeper than the recursion "
+        f"limit {sys.getrecursionlimit()}\n")
+    assert captured.out == ""
+
+
+def test_branch_bound_well_below_the_recursion_limit_still_searches(tmp_path, capsys):
+    x = write(tmp_path / "x.json", {"kind": "points", "coords": [
+        str(2 * k) for k in range(30)]})
+    y = write(tmp_path / "y.json", {"kind": "matrix", "dist": [["0", "7"], ["7", "0"]]})
+    assert main(["dist-gh", x, y, "--method", "branch-bound"]) == 0
+    out = capsys.readouterr().out
+    assert "status: exact\n" in out and "d_gh: 51/2\n" in out
+    assert "nodes: 0\n" not in out
+
+
+@pytest.mark.parametrize("coords, flags, field, message", [
+    (["0", "3"], ["--lam", "2"], "--lam", "lam must lie in [0, 1]"),
+    (["0", "3"], ["--grid", "0,3/2"], "--grid", "lam must lie in [0, 1]"),
+    (["0", "7"], ["--lam", "1/2"], "{x}", "point set must lie inside the window"),
+    (["0", "7"], ["--grid", "0,1/2"], "{x}", "point set must lie inside the window"),
+    # the library's order: the first parameter, the window, the rest
+    (["0", "7"], ["--lam", "2"], "--lam", "lam must lie in [0, 1]"),
+    (["0", "7"], ["--grid", "2,3/2"], "--grid", "grid must be sorted ascending"),
+    (["0", "7"], ["--grid", "2,3"], "--grid", "lam must lie in [0, 1]"),
+    (["0", "7"], ["--grid", "0,3/2"], "{x}", "point set must lie inside the window"),
+])
+def test_deformation_refusals_name_their_field(coords, flags, field, message,
+                                               tmp_path, capsys):
+    x = write(tmp_path / "x.json", {"kind": "points", "coords": coords})
+    w = write(tmp_path / "w.json", {"kind": "window", "lo": "0", "hi": "5"})
+    command = "contract" if flags[0] == "--lam" else "trace"
+    assert main([command, x, "--window", w, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {field.format(x=x)}: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_outputs_are_byte_identical_on_rerun(spaces, capsys):
     main(["dist-gh", spaces["x"], spaces["y"]])
     first = capsys.readouterr().out

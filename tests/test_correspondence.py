@@ -19,9 +19,9 @@ from netline import (
     gh_to_point,
     scale_space,
 )
-from netline.correspondence import scaled_int_matrices
+from netline.correspondence import int_distortion, scaled_int_matrices
 from netline.geometry import _form, _scaled
-from netline.harness import GeneratorConfig, random_metric_space
+from netline.harness import GeneratorConfig, random_metric_space, random_point_set
 
 
 def line(*coords) -> FiniteMetricSpace:
@@ -219,3 +219,31 @@ def test_matrix_space_operations_match_fraction_references():
         assert m.line_coords is None and m.dist == rows and diam(m) == diam(x)
         assert scale_space(m, lam) == FiniteMetricSpace.from_matrix(scaled.dist)
         assert math.gcd(m.metric.den, *m.metric.ints) == 1  # lowest terms
+
+
+def test_line_distortion_equals_the_matrix_scan():
+    # two line spaces are scanned on their coordinates; the value and the
+    # witness must be those of the matrix scan, whose strict > keeps the first
+    # pair of pairs that attains the value.  Coordinates on a small range
+    # make ties common, so a scan that kept a later tie would fail here.
+    rng = random.Random(25)
+    cfg = GeneratorConfig(seed=0)
+    for case in range(600):
+        if case % 2:
+            x, y = (random_point_set(rng, cfg, 1, 9) for _ in "xy")
+        else:
+            x, y = (PointSet.of(rng.sample(range(-4, 8), rng.randint(1, 8)))
+                    for _ in "xy")
+        pairs = {(rng.randrange(len(x)), rng.randrange(len(y)))
+                 for _ in range(rng.randint(1, 2 * (len(x) + len(y))))}
+        if case % 3:
+            rel = Relation.of(pairs)
+        else:
+            pairs |= {(i, rng.randrange(len(y))) for i in range(len(x))}
+            pairs |= {(rng.randrange(len(x)), j) for j in range(len(y))}
+            rel = Correspondence.of(pairs, len(x), len(y))
+        sx, sy = FiniteMetricSpace.from_line(x), FiniteMetricSpace.from_line(y)
+        den, dx, dy = scaled_int_matrices(sx, sy)
+        value, witness = int_distortion(rel.pairs, dx, dy)
+        cert = distortion(rel, sx, sy)
+        assert (cert.value, cert.witness) == (F(value, den), witness)

@@ -110,6 +110,40 @@ def test_gh_exact_refuses_rather_than_overflow_the_stack():
     assert found == sorted(found, key=lambda v: v is not None)
 
 
+def test_branch_bound_refuses_only_a_search_past_the_recursion_limit():
+    # refinement closes this line pair at the root, so it solves however
+    # short the stack; the 30-point set against a 2-point matrix needs a
+    # search of 30 + 1 + 2 nested steps and is refused, not overflowed,
+    # unless a node budget keeps the search shallow
+    qx = line(1, 5, 7, 10, 14, 17, 18, 23, 24, 33)
+    qy = line(9, 13, 17, 18, 29, 32, 33, 36)
+    far = line(*range(0, 60, 2))
+    pair = FiniteMetricSpace.from_matrix([[0, 7], [7, 0]])
+    assert gh_branch_bound(far, pair).nodes_explored > 0
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    try:
+        # room for refinement's own calls, not for 30 + 1 + 2 steps and the
+        # 32 frames kept free
+        sys.setrecursionlimit(depth + 48)
+        closed = gh_branch_bound(qx, qy)
+        with pytest.raises(ExhaustiveLimitError, match="recursion limit"):
+            gh_branch_bound(far, pair)
+        # a budget of 3 nodes nests at most 4 search frames
+        budgeted = gh_branch_bound(far, pair, budget=3)
+        # a budget of 30 nodes still nests too deep, and is named as the bound
+        with pytest.raises(ExhaustiveLimitError, match=(
+                r"^31 search steps under a budget of 30 nodes nest deeper than the "
+                rf"recursion limit {depth + 48}$")):
+            gh_branch_bound(far, pair, budget=30)
+    finally:
+        sys.setrecursionlimit(old)
+    assert closed.exact is not None and closed.nodes_explored == 0
+    assert budgeted.nodes_explored == 4 and budgeted.exact is None
+
+
 def test_gh_exact_matches_oracle_on_random_small_instances():
     rng = random.Random(21)
     cfg = GeneratorConfig(seed=0)
