@@ -6,6 +6,8 @@ constructive low-distortion correspondences behind it, and randomized
 suites certifying every inequality the library promises.
 """
 
+from types import ModuleType as _Module
+
 from .constructions import (
     ExtendedCorrespondence,
     SegmentCorrespondence,
@@ -72,60 +74,8 @@ from .solver import GHResult, gh_branch_bound, gh_exact
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Correspondence",
-    "DistortionCertificate",
-    "ExhaustiveLimitError",
-    "ExtendedCorrespondence",
-    "FiniteMetricSpace",
-    "GHResult",
-    "GeneratorConfig",
-    "HomotopyTrace",
-    "IntervalUnion",
-    "InvariantError",
-    "OrderPreservationReport",
-    "OrderViolationReport",
-    "PointSet",
-    "PreconditionError",
-    "Relation",
-    "Scalar",
-    "SegmentCorrespondence",
-    "SuiteReport",
-    "Window",
-    "as_scalar",
-    "check_order_preservation",
-    "contract",
-    "continuity_in_lambda",
-    "covering_radius",
-    "diam",
-    "distortion",
-    "extend_correspondence",
-    "f_map",
-    "geometric_progression_experiment",
-    "gh_branch_bound",
-    "gh_exact",
-    "gh_to_point",
-    "hausdorff",
-    "homothety_experiment",
-    "is_eps_net",
-    "lambda_bound_counterexample_search",
-    "order_violation_bound",
-    "point_to_set_distance",
-    "sample",
-    "scalar_str",
-    "scale_space",
-    "segment_correspondence",
-    "separation",
-    "stability_in_space",
-    "thicken",
-    "trace",
-    "trace_csv",
-    "verify_bounded_cloud",
-    "verify_construction_bounds",
-    "verify_continuity",
-    "verify_gh_bounds",
-    "verify_order_lemmas",
-    "verify_stability",
-    "verify_ultrametric_gh",
-    "verify_ultrametric_hausdorff",
-]
+# every public name bound above, for `from netline import *`
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
+)
