@@ -37,12 +37,20 @@ from .homotopy import trace as run_trace
 from .solver import EXHAUSTIVE_LIMIT, gh_branch_bound, gh_exact
 
 
+def _read(path: str) -> str:
+    """The document's text; bytes that are not UTF-8 are a FormatError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(path, f"not UTF-8: {exc}") from None
+
+
 def _load_space(path: str) -> SpaceObject:
-    return loads_space(Path(path).read_text(encoding="utf-8"), location=path)
+    return loads_space(_read(path), location=path)
 
 
 def _load_metric(path: str):
-    doc = loads_doc(Path(path).read_text(encoding="utf-8"), path)
+    doc = loads_doc(_read(path), path)
     return parse_metric_space(doc, location=path)
 
 

@@ -6,17 +6,17 @@ on the running Python; "p/q", integers and plain decimals like "3.25" are
 portable.  Coordinates, interval ends and matrix entries become the ints
 over one denominator that the spaces store.  When every scalar of a list is
 in a form the program writes, ASCII "-?digits" or "-?digits/digits", one
-pattern pass checks them all and `int()` converts them; any other list, and
-any single scalar, is read by `Fraction(str)`, which gives the same values
-and reports the first bad field in document order.  Printing is canonical
-and deterministic, so parse(print(x)) = x bit-exact and identical inputs
-always produce byte-identical documents.
+pass that deletes the ASCII digits checks them all and `str.partition` and
+`int()` convert them; any other list, and any single scalar, is read by
+`Fraction(str)`, which gives the same values and reports the first bad field
+in document order.  Printing is canonical and deterministic, so
+parse(print(x)) = x bit-exact and identical inputs always produce
+byte-identical documents.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
@@ -38,23 +38,23 @@ class FormatError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-# the forms the program writes; ASCII only, since `int()` also takes other digits
-_WRITTEN = "-?[0-9]+(?:/[0-9]+)?"
-# matched one value at a time: a repeated group in one match would grow the
-# engine's backtracking stack with the length of the list
-_WRITTEN_ITEM = re.compile(f"{_WRITTEN},")
+# a written value, ASCII "-?digits" or "-?digits/digits", leaves one of these
+# shapes when its ASCII digits are deleted; `int()` also takes other digits
+_DIGITS = str.maketrans("", "", "0123456789")
+_SHAPES = {"", "-", "/", "-/"}
 
 
 def _written(values: list[Any]) -> Form | None:
     """The values over the lcm of their denominators when every one is a
     string in a written form with a nonzero denominator, else None."""
     try:
-        text = ",".join(values) + ","
+        text = ",".join(values)
     except TypeError:
         return None
-    # nothing left over, and a value that holds a comma makes an extra match
-    rest, matched = _WRITTEN_ITEM.subn("", text)
-    if rest or matched != len(values):
+    # no empty denominator; int() then refuses an empty part, a sign or a
+    # slash out of place, and a value that holds a comma
+    shapes = text.translate(_DIGITS).split(",")
+    if not _SHAPES.issuperset(shapes) or text.endswith("/") or "/," in text:
         return None
     try:
         if "/" not in text:
@@ -64,7 +64,7 @@ def _written(values: list[Any]) -> Form | None:
         dens = list(map(itemgetter(2), map(str.partition, values, repeat("/"))))
         qs = {den: int(den or 1) for den in dict.fromkeys(dens)}
         ints = list(map(int, map(itemgetter(0), map(str.partition, values, repeat("/")))))
-    except ValueError:  # more digits than int() converts
+    except ValueError:  # such a part, or more digits than int() converts
         return None
     lcm_den = lcm(*qs.values())
     if not lcm_den:  # a zero denominator

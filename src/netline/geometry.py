@@ -255,7 +255,12 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     rescaled to s = 2·lcm(denominators): endpoints become even ints,
     so every gap midpoint and half gap is an int too.  One O(n + m) forward
     merge per direction then finds the sup, and only the result is divided.
+    Two point sets are swept as points: a target gap's midpoint lies in a
+    point set only at one of its points, which the merge has scored.
     """
+    if isinstance(a, PointSet) and isinstance(b, PointSet):
+        scale, (sa, sb) = _scaled((a.ints, a.den), (b.ints, b.den))
+        return Fraction(max(_point_sup(sa, sb), _point_sup(sb, sa)), scale)
     scale, (sa, sb) = _scaled(_spans(a), _spans(b))
     return Fraction(_symmetric_sup(sa, sb), scale)
 
@@ -345,6 +350,21 @@ def _directed_sup(src: list[int], dst: list[int]) -> int:
     return best
 
 
+def _point_sup(src: list[int], dst: list[int]) -> int:
+    """sup over x in src of d(x, dst); both ascending point lists."""
+    best, last, k = 0, len(dst) - 1, 0
+    for x in src:
+        while k < last and dst[k] < x:
+            k += 1
+        # dst[k] is the first point at or past x, else the last point
+        d = abs(dst[k] - x)
+        if k and x - dst[k - 1] < d:
+            d = x - dst[k - 1]
+        if d > best:
+            best = d
+    return best
+
+
 def thicken(s: SetOnLine, r: ScalarLike) -> IntervalUnion:
     """Closed r-neighborhood, canonically merged (touching intervals fuse)."""
     radius = as_scalar(r)
@@ -356,11 +376,13 @@ def thicken(s: SetOnLine, r: ScalarLike) -> IntervalUnion:
 
 
 def covering_radius(a: PointSet, w: Window) -> Fraction:
-    """How far a point of the window can be from the set; d_H(A, window)."""
+    """d_H(A, window): the larger end gap, or half the largest gap of the points."""
     if not w.contains(a):
         raise ValueError("point set must lie inside the window")
-    scale, (src, dst) = _scaled((w.ints, w.den), _spans(a))
-    return Fraction(_directed_sup(src, dst), scale)
+    gap = max(map(sub, a.ints[1:], a.ints), default=0)
+    scale, ((first, last, gap), (lo, hi)) = _scaled(
+        ((a.ints[0], a.ints[-1], gap), a.den), (w.ints, w.den))
+    return Fraction(max(first - lo, hi - last, gap // 2), scale)
 
 
 def is_eps_net(a: PointSet, w: Window, eps: ScalarLike) -> bool:

@@ -312,6 +312,19 @@ def test_too_deeply_nested_json_exits_2_naming_the_file(tmp_path, capsys):
         assert "Traceback" not in captured.err and captured.out == ""
 
 
+def test_a_document_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"kind": "points", "coords": ["0", "\xff"]}')
+    ok = write(tmp_path / "ok.json", {"kind": "points", "coords": ["0", "1"]})
+    for argv in (["dist-h", str(bad), ok], ["dist-h", ok, str(bad)], ["dist-gh", ok, str(bad)],
+                 ["trace", ok, "--window", str(bad), "--grid", "0,1"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {bad}: not UTF-8: 'utf-8' codec can't decode "
+                                "byte 0xff in position 36: invalid start byte\n")
+        assert captured.out == ""
+
+
 def test_integer_too_long_to_convert_exits_2_naming_the_file(tmp_path, capsys):
     # a JSON number past int()'s digit limit; where the running Python has no
     # limit, the number parses and is refused as a coordinate list instead

@@ -519,8 +519,33 @@ def spelled(rng: random.Random, v: F, fallback: float):
 
 
 BAD_SCALARS = [True, False, 0.25, None, ["1"], {"p": 1}, "1/0", "1/00", "x",
-               "3/-4", "--1", "1/", "/2", "1//2", "1,2", "٣/", "9" * 4301,
-               "-" + "9" * 4301, "1/" + "7" * 4301]
+               "3/-4", "--1", "1/", "/2", "1//2", "1/2/3", "1-2", "-/2", "-", "",
+               "1,2", "٣/", "9" * 4301, "-" + "9" * 4301, "1/" + "7" * 4301]
+
+
+# the forms the program writes, as a pattern: the reference for `_written`
+WRITTEN = "-?[0-9]+(?:/[0-9]+)?"
+
+
+@pytest.mark.parametrize("values, form", [
+    (["-0"], ([0], 1)),
+    (["7/014"], ([7], 14)),
+    (["12", "-3", "0", "007"], ([12, -3, 0, 7], 1)),
+    (["-3", "1/2", "-5/6", "4/1"], ([-18, 3, -5, 24], 6)),
+])
+def test_written_lists_take_the_one_step_read(values, form):
+    # a correct fallback would hide a lost fast path, so `_written` itself
+    assert formats._written(values) == form
+
+
+@pytest.mark.parametrize("near_miss", [
+    "1/", "/2", "1//2", "1/2/3", "1-2", "-/2", "3/-4", "-", "", "1,2", "1/٣",
+    "+1", " 1", "1_0",
+])
+def test_near_misses_leave_the_one_step_read(near_miss):
+    assert re.fullmatch(WRITTEN, near_miss) is None
+    for values in ([near_miss], ["1", near_miss, "2/3"], ["-4/7", near_miss]):
+        assert formats._written(values) is None, values
 
 
 def random_scalar_list(rng: random.Random) -> list:
@@ -547,7 +572,7 @@ def test_whole_list_reads_agree_with_the_scalar_reader():
         if want[0] != "PointSet":
             reached["refused"] += 1
         else:
-            written = all(type(v) is str and re.fullmatch(formats._WRITTEN, v)
+            written = all(type(v) is str and re.fullmatch(WRITTEN, v)
                           for v in scalars)
             reached["written" if written else "mixed"] += 1
         # the same scalars as interval ends, in order or not, and with one

@@ -258,6 +258,44 @@ def test_hausdorff_matches_oracle_on_coprime_denominators():
     assert touched >= 100
 
 
+def points_hausdorff(a: PointSet, b: PointSet) -> F:
+    """Independent oracle for two point sets: each directed sup is attained
+    at a point of the source."""
+    return max(max(linear_dist_to_spans(x, _spans(t)) for x in s.points)
+               for s, t in ((a, b), (b, a)))
+
+
+def point_pair(rng: random.Random, kind: str) -> tuple[PointSet, PointSet]:
+    a = [coprime_scalar(rng, -20, 20) for _ in range(rng.randint(1, 30))]
+    if kind == "in-gap":  # b inside one gap of a, its midpoint now and then
+        ends = sorted({*a, max(a) + coprime_scalar(rng, 1, 3)})
+        lo, hi = rng.choice(list(zip(ends, ends[1:])))
+        b = [lo + (hi - lo) * F(rng.randint(1, 96), 97) for _ in range(rng.randint(1, 5))]
+        b += [(lo + hi) / 2] * (rng.random() < 0.5)
+    elif kind == "shared":
+        b = rng.sample(a, rng.randint(1, len(a)))
+        b += [coprime_scalar(rng, -20, 20) for _ in range(rng.randint(0, 5))]
+    elif kind == "identical":
+        b = list(a)
+    else:  # mixed denominators, or one set a singleton
+        b = [coprime_scalar(rng, -20, 20) for _ in range(rng.randint(1, 30))]
+        if kind == "singleton":
+            b = b[:1]
+    return PointSet.of(a), PointSet.of(b)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "shared", "singleton", "in-gap", "identical"])
+def test_point_sweep_matches_span_sweep_and_oracle(kind):
+    rng = random.Random(f"point-pairs:{kind}")
+    for _ in range(300):
+        a, b = point_pair(rng, kind)
+        if rng.random() < 0.5:
+            a, b = b, a
+        want = points_hausdorff(a, b)
+        assert hausdorff(a, b) == hausdorff(a.to_intervals(), b.to_intervals()) == want
+        assert hausdorff(a, a) == 0
+
+
 def test_hausdorff_metric_axioms():
     rng = random.Random(102)
     for _ in range(200):
@@ -286,6 +324,20 @@ def test_covering_radius_is_hausdorff_to_window():
     for _ in range(300):
         a = random_point_set(rng, cfg)
         assert covering_radius(a, w) == hausdorff(a, w.span())
+
+
+@pytest.mark.parametrize("ends", [(), ("lo",), ("hi",), ("lo", "hi")])
+def test_covering_radius_matches_oracle_with_points_at_the_ends(ends):
+    rng = random.Random(f"covering:{ends}")
+    for _ in range(300):
+        w = Window(coprime_scalar(rng, -20, 0), coprime_scalar(rng, 1, 20))
+        pts = [w.lo + (w.hi - w.lo) * coprime_scalar(rng, 0, 1)
+               for _ in range(rng.choice((1, 1, 2, 5, 20)))]
+        a = PointSet.of(pts + [getattr(w, end) for end in ends])
+        assert covering_radius(a, w) == sup_norm_hausdorff(a, w.span())
+        # a single point, at an end or inside
+        p = rng.choice((w.lo, w.hi, pts[0]))
+        assert covering_radius(PointSet.of([p]), w) == max(p - w.lo, w.hi - p)
 
 
 def test_sampling_approximates_within_half_step():
