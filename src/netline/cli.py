@@ -15,7 +15,6 @@ import contextlib
 import functools
 import sys
 from collections.abc import Iterator
-from pathlib import Path
 
 from . import harness
 from .errors import InvariantError
@@ -40,7 +39,8 @@ from .solver import EXHAUSTIVE_LIMIT, gh_branch_bound, gh_exact
 def _read(path: str) -> str:
     """The document's text; bytes that are not UTF-8 are a FormatError naming it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except UnicodeDecodeError as exc:
         raise FormatError(path, f"not UTF-8: {exc}") from None
 
@@ -50,8 +50,7 @@ def _load_space(path: str) -> SpaceObject:
 
 
 def _load_metric(path: str):
-    doc = loads_doc(_read(path), path)
-    return parse_metric_space(doc, location=path)
+    return parse_metric_space(loads_doc(_read(path), path), location=path)
 
 
 def _as_hausdorff_operand(obj: SpaceObject):
@@ -71,7 +70,8 @@ def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def cmd_dist_h(args: argparse.Namespace) -> int:
@@ -97,6 +97,8 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
         result = gh_exact(x, y, limit=args.limit)
     else:
         result = gh_branch_bound(x, y, budget=args.budget)
+    if args.certificate is not None:  # written first: a failed write prints no answer
+        _write_or_print(dumps_doc(gh_certificate_doc(result, x, y)), args.certificate)
     if result.exact is not None:
         sys.stdout.write("status: exact\n")
         sys.stdout.write(f"d_gh: {scalar_str(result.exact)}\n")
@@ -108,8 +110,6 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
     sys.stdout.write(f"correspondence: {pairs}\n")
     sys.stdout.write(f"nodes: {result.nodes_explored}\n")
     if args.certificate is not None:
-        doc = gh_certificate_doc(result, x, y)
-        Path(args.certificate).write_text(dumps_doc(doc), encoding="utf-8")
         sys.stdout.write(f"certificate: {args.certificate}\n")
     return 0
 

@@ -11,7 +11,8 @@ pass that deletes the ASCII digits checks them all and `str.partition` and
 `Fraction(str)`, which gives the same values and reports the first bad field
 in document order.  Printing is canonical and deterministic, so
 parse(print(x)) = x bit-exact and identical inputs always produce
-byte-identical documents.
+byte-identical documents: scalar strings are built from the stored ints, and
+`dumps_doc` writes `json.dumps(doc, sort_keys=True, indent=2)`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Any, Callable, Union
 
@@ -164,21 +166,62 @@ def parse_space(doc: Any, location: str = "$") -> SpaceObject:
     )
 
 
+def _strs(stored: _Ints, width: int = 0) -> list:
+    """`scalar_str` of each stored value, from the ints, in rows of ``width`` if given."""
+    den = stored.den
+    strs = list(map(str, stored.ints)) if den == 1 else [
+        f"{v // g}/{den // g}" if (g := gcd(v, den)) != den else str(v // g) for v in stored.ints]
+    return [strs[k:k + width] for k in range(0, len(strs), width)] if width else strs
+
+
 def format_space(obj: SpaceObject) -> dict:
     if isinstance(obj, PointSet):
-        return {"kind": "points", "coords": [scalar_str(p) for p in obj.points]}
+        return {"kind": "points", "coords": _strs(obj)}
     if isinstance(obj, IntervalUnion):
-        return {
-            "kind": "intervals",
-            "intervals": [[scalar_str(a), scalar_str(b)] for a, b in obj.intervals],
-        }
+        return {"kind": "intervals", "intervals": _strs(obj, 2)}
     if isinstance(obj, Window):
-        return {"kind": "window", "lo": scalar_str(obj.lo), "hi": scalar_str(obj.hi)}
+        lo, hi = _strs(obj)
+        return {"kind": "window", "lo": lo, "hi": hi}
     raise TypeError(f"cannot format {type(obj).__name__} as a space")
 
 
+_LEAVES = {str: ("%s", _quote), int: ("%d", int)}  # placeholder, converter
+
+
+def _dump(value: Any, indent: str) -> str:
+    """The JSON text of a value whose lines start at ``indent``.  A list of
+    leaves of one type, or of rows of one width of them, fills one %-template."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner, sep = indent + "  ", "," + indent + "  "
+    if isinstance(value, dict):
+        body = sep.join([_quote(key) + ": " + _dump(value[key], inner) for key in sorted(value)])
+    elif not isinstance(value, (list, tuple)):
+        raise TypeError(f"cannot write {type(value).__name__} to a document")
+    else:
+        widths = {*map(len, value)} if {*map(type, value)} <= {list, tuple} else ()
+        leaves = list(chain.from_iterable(value)) if len(widths) == 1 else value
+        leaf = _LEAVES.get(kinds.pop()) if len(kinds := {*map(type, leaves)}) == 1 else None
+        if leaf is None:
+            body = sep.join([_dump(item, inner) for item in value])
+        else:
+            cell, row = leaf[0], inner + "  "
+            if leaves is not value:
+                cell = "[" + row + ("," + row).join([cell] * widths.pop()) + inner + "]"
+            # a tuple of a list is allocated at its length (see `_Ints.from_ints`)
+            body = sep.join([cell] * len(value)) % tuple([*map(leaf[1], leaves)])
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + body + indent + brackets[1] if value else brackets
+
+
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2)` and a newline, for str, int, bool,
+    None, dicts with str keys, lists and tuples; any other value is a TypeError."""
+    return _dump(doc, "\n") + "\n"
 
 
 def loads_doc(text: str, location: str = "$") -> Any:
@@ -225,10 +268,7 @@ def parse_metric_space(doc: Any, location: str = "$") -> FiniteMetricSpace:
 def format_metric_space(space: FiniteMetricSpace) -> dict:
     if space.line_coords is not None:
         return format_space(space.line_coords)
-    return {
-        "kind": "matrix",
-        "dist": [[scalar_str(v) for v in row] for row in space.dist],
-    }
+    return {"kind": "matrix", "dist": _strs(space.metric, space.n)}
 
 
 def gh_certificate_doc(

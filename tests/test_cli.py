@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
+import os
 import random
 import sys
 from fractions import Fraction as F
@@ -459,4 +461,51 @@ def test_window_given_a_points_document_exits_2(command, spaces, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {spaces['pts']}: expected a window document\n"
+    assert captured.out == ""
+
+
+def os_error(code: int, path: str) -> str:
+    return f"error: [Errno {code}] {os.strerror(code)}: {path!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist-h", "{missing}", "{x}"], ["dist-h", "{x}", "{missing}"],
+    ["dist-gh", "{x}", "{missing}", "--certificate", "{cert}"],
+    ["contract", "{x}", "--lam", "1/2", "--window", "{missing}"],
+    ["trace", "{missing}", "--window", "{w}", "--grid", "0,1"],
+], ids=["dist-h-a", "dist-h-b", "dist-gh", "contract", "trace"])
+def test_a_missing_input_file_exits_2_naming_it(argv, spaces, tmp_path, capsys):
+    missing, cert = str(tmp_path / "missing.json"), tmp_path / "cert.json"
+    names = dict(spaces, missing=missing, cert=str(cert))
+    assert main([a.format(**names) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == os_error(errno.ENOENT, missing)
+    assert captured.out == "" and not cert.exists()
+
+
+@pytest.mark.parametrize("target, code", [
+    ("nodir/cert.json", errno.ENOENT), ("adir", errno.EISDIR),
+], ids=["in-a-missing-directory", "a-directory"])
+@pytest.mark.parametrize("method", ["exact", "branch-bound"])
+def test_a_failed_certificate_write_prints_no_answer(target, code, method, spaces,
+                                                     tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    path = str(tmp_path / target)
+    argv = ["dist-gh", spaces["x"], spaces["y"], "--method", method, "--certificate", path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == os_error(code, path)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["contract", "{x}", "--lam", "1/2", "--window", "{w}", "--out", "{out}"],
+    ["trace", "{x}", "--window", "{w}", "--grid", "0,1", "--out", "{out}"],
+    ["verify", "ultrametric-h", "--cases", "2", "--out", "{out}"],
+], ids=["contract", "trace", "verify"])
+def test_a_failed_out_write_exits_2_and_prints_nothing(argv, spaces, tmp_path, capsys):
+    out = str(tmp_path / "nodir" / "out.txt")
+    assert main([a.format(out=out, **spaces) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == os_error(errno.ENOENT, out)
     assert captured.out == ""

@@ -722,3 +722,113 @@ def test_matrix_spellings_of_one_value_give_equal_spaces():
     c = parse_metric_space({"kind": "matrix", "dist": [["0", "0.5"], [" 1/2", 0]]})
     assert a == b == c and hash(a) == hash(b) == hash(c)
     assert (a.metric.ints, a.metric.den) == ((0, 1, 1, 0), 2)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.cert.json")), ids=lambda p: p.name)
+def test_dumps_doc_rewrites_every_golden_certificate_byte_for_byte(path):
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert dumps_doc(doc) == text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# strings with non-ASCII, control, quote, backslash and %-format characters
+CHARS = 'ab/0-%s%d"\\\n\t\x00\x1f\x7fé \U0001f600 '
+
+
+def _random_doc(rng: random.Random, depth: int):
+    """A random document value; lists of leaves and of rows of leaves are
+    drawn often, since the writer fills those from one template."""
+    text = lambda: "".join(rng.choice(CHARS) for _ in range(rng.randrange(4)))
+    leaves = [text, lambda: rng.randint(-5, 5), lambda: rng.choice([-1, 1]) * 7 ** 60,
+              lambda: rng.choice([True, False, None])]
+    kind = rng.randrange(8 if depth else 4)
+    if kind < 4:
+        return leaves[kind]()
+    if kind == 4:  # a dict, possibly empty
+        return {text(): _random_doc(rng, depth - 1) for _ in range(rng.randrange(4))}
+    if kind == 5:  # leaves of one kind
+        leaf = rng.choice(leaves)
+        return [leaf() for _ in range(rng.randrange(5))]
+    if kind == 6:  # rows of one width, as lists or tuples, of one kind or mixed
+        width, leaf = rng.randrange(3), rng.choice(leaves)
+        pick = (lambda: leaf()) if rng.random() < 0.7 else (lambda: rng.choice(leaves)())
+        rows = [[pick() for _ in range(width)] for _ in range(rng.randrange(4))]
+        return [tuple(row) if rng.random() < 0.3 else row for row in rows]
+    items = [_random_doc(rng, depth - 1) for _ in range(rng.randrange(4))]
+    return tuple(items) if rng.random() < 0.3 else items
+
+
+def test_dumps_doc_matches_json_dumps_on_random_documents():
+    rng = random.Random(28)
+    for _ in range(3000):
+        doc = {"k": _random_doc(rng, 4)}
+        assert dumps_doc(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_dumps_doc_writes_int_and_str_subclasses_as_json_does():
+    class Label(str):
+        pass
+
+    doc = {"a": [True, 1], "b": [[False, 2]], "c": [Label("x"), "y"], "d": [Label("z")]}
+    assert dumps_doc(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"x": 0.5}, {"x": [1, 0.5]}, {"x": [[0.5, 1.0]]}, {"x": {1, 2}}, {"x": frozenset()},
+    {"x": [b"1"]}, {"x": F(1, 2)}, {1: "a"},
+], ids=["float", "float-in-list", "float-row", "set", "frozenset", "bytes", "fraction",
+        "int-key"])
+def test_dumps_doc_refuses_what_a_document_cannot_hold(doc):
+    with pytest.raises(TypeError):
+        dumps_doc(doc)
+
+
+def _strs(ints, den):
+    return [str(F(v, den)) for v in ints]
+
+
+def test_written_scalars_are_the_fraction_strings_of_the_stored_ints():
+    # -2, 0, 3, 4 over 6 reduce to four different denominators
+    points = PointSet.from_ints([-2, 0, 3, 4], 6)
+    union = IntervalUnion.from_ints([-2, 0, 3, 4], 6)
+    window = Window(F(-1, 2), F(2, 3))
+    matrix = FiniteMetricSpace.from_matrix([[0, F(1, 2), F(2, 3)], [F(1, 2), 0, F(1, 3)],
+                                            [F(2, 3), F(1, 3), 0]])
+    assert points.den == union.den == window.den == matrix.metric.den == 6
+    assert format_space(points)["coords"] == ["-1/3", "0", "1/2", "2/3"]
+    assert format_space(union)["intervals"] == [["-1/3", "0"], ["1/2", "2/3"]]
+    assert format_space(window) == {"kind": "window", "lo": "-1/2", "hi": "2/3"}
+    assert format_metric_space(matrix)["dist"] == [
+        ["0", "1/2", "2/3"], ["1/2", "0", "1/3"], ["2/3", "1/3", "0"]]
+    # over den 1, negative values included
+    assert format_space(PointSet.of([-3, 0, 5]))["coords"] == ["-3", "0", "5"]
+    assert format_space(Window(-2, 5)) == {"kind": "window", "lo": "-2", "hi": "5"}
+    assert format_metric_space(FiniteMetricSpace.from_matrix([[0, 2], [2, 0]]))["dist"] == [
+        ["0", "2"], ["2", "0"]]
+    for obj in (points, union, window):
+        assert parse_space(format_space(obj)) == obj
+    assert parse_metric_space(format_metric_space(matrix)) == matrix
+
+
+def test_written_scalars_match_the_fraction_views_on_random_spaces():
+    rng = random.Random(6)
+    for _ in range(300):
+        den = rng.choice([1, 1, 2, 6, 12, 35, 360])
+        ints = sorted(rng.sample(range(-4 * den, 4 * den + 1), rng.randint(1, 9)))
+        points = PointSet.from_ints(ints, den)
+        coords = format_space(points)["coords"]
+        assert coords == _strs(points.ints, points.den) == [str(p) for p in points.points]
+        if len(ints) % 2 == 0 and len(set(ints)) == len(ints):
+            union = IntervalUnion.from_ints(ints, den)
+            assert format_space(union)["intervals"] == [
+                [str(a), str(b)] for a, b in union.intervals]
+            assert parse_space(format_space(union)) == union
+        line = FiniteMetricSpace.from_line(points)
+        matrix = FiniteMetricSpace.from_matrix(line.dist)
+        assert format_metric_space(matrix)["dist"] == [
+            [str(v) for v in row] for row in matrix.dist]
+        assert parse_space(format_space(points)) == points
+        assert parse_metric_space(format_metric_space(matrix)) == matrix
