@@ -36,7 +36,6 @@ counts a search node.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -136,31 +135,19 @@ def _reach(
     return cur
 
 
-def _too_deep(frames: int) -> bool:
-    """Whether ``frames`` nested calls on top of the caller's stack would pass
-    the recursion limit; 32 frames stay free for C-level calls below (exec,
-    a test runner's hooks), which count against the limit without a frame."""
-    frame, depth = sys._getframe(1), frames + 32
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth > sys.getrecursionlimit()
-
-
 def gh_exact(
     x: FiniteMetricSpace, y: FiniteMetricSpace, limit: int = EXHAUSTIVE_LIMIT
 ) -> GHResult:
     """Minimum distortion over all correspondences, by subset enumeration.
 
     Refuses instances with |X|*|Y| > limit: the subset tree has 2^(|X||Y|)
-    leaves and is meant for desk-scale inputs and oracle duty.  It also refuses
-    those whose search, |X|*|Y| + 1 nested frames, would pass the recursion limit.
+    leaves and is meant for desk-scale inputs and oracle duty.
     """
     n, m = x.n, y.n
     nm = n * m
-    if nm > limit or _too_deep(nm + 1):
-        why = (f"exceeds the exhaustive limit {limit}" if nm > limit else "pair slots "
-               f"nest deeper than the recursion limit {sys.getrecursionlimit()}")
-        raise ExhaustiveLimitError(f"|X|*|Y| = {nm} {why}; use gh_branch_bound")
+    if nm > limit:
+        raise ExhaustiveLimitError(
+            f"|X|*|Y| = {nm} exceeds the exhaustive limit {limit}; use gh_branch_bound")
     den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
 
     # pair slot k is (i, j) = divmod(k, m)
@@ -175,32 +162,31 @@ def gh_exact(
     full_row = (1 << n) - 1
     full_col = (1 << m) - 1
 
-    chosen: list[Pair] = []
-    nodes = 0
-
-    def dfs(k: int, cur: int, rcov: int, ccov: int) -> None:
-        nonlocal nodes, best_val, best_pairs
-        nodes += 1
-        if (rcov | suf_row[k]) != full_row or (ccov | suf_col[k]) != full_col:
-            return
-        if k == nm:
-            best_val = cur
-            best_pairs = chosen.copy()
-            return
-        dfs(k + 1, cur, rcov, ccov)  # without pair k
-        if best_val == lower_int:
-            return
-        i, j = slots[k]
-        nd = _reach(cur, dx[i], dy[j], chosen, best_val)
-        if nd >= best_val:
-            return
-        chosen.append(slots[k])
-        dfs(k + 1, nd, rcov | rowbit[k], ccov | colbit[k])
-        chosen.pop()
-
-    if best_val > lower_int:
-        dfs(0, 0, 0, 0)
-    del dfs  # the recursive closure is a reference cycle through its cell
+    # depth first, "without pair k" first: a chain of "without" children leaves
+    # each "with" child pending, entered after them if it still improves
+    pending: list[tuple[int, int, int, int, tuple[Pair, ...]]] = []
+    k = cur = rcov = ccov = nodes = 0
+    chosen: tuple[Pair, ...] = ()
+    while best_val > lower_int:
+        while True:
+            nodes += 1
+            if (rcov | suf_row[k]) != full_row or (ccov | suf_col[k]) != full_col:
+                break
+            if k == nm:
+                best_val, best_pairs = cur, chosen
+                break
+            pending.append((k, cur, rcov, ccov, chosen))
+            k += 1
+        while pending and best_val > lower_int:
+            k, cur, rcov, ccov, chosen = pending.pop()
+            i, j = pair = slots[k]
+            nd = _reach(cur, dx[i], dy[j], chosen, best_val)
+            if nd < best_val:
+                k, cur, rcov, ccov = k + 1, nd, rcov | rowbit[k], ccov | colbit[k]
+                chosen += (pair,)
+                break
+        else:
+            break
 
     return _result(den, dx, dy, best_val, best_val, best_pairs, nodes)
 
@@ -428,19 +414,15 @@ def gh_branch_bound(
     seed; matrix pairs take plain refinement, since on band metrics the
     probes closed no pair and cost several times the search.
 
-    One recursive search walks a list of steps, each fixing one index of the
-    next pair: first every X row in decreasing eccentricity, then, once
-    every row has an image, one step per still-uncovered Y column.  A step
-    tries its live cells in increasing partial distortion, ties to the
-    smallest index, and drops a cell at the first term that reaches the
-    incumbent.  Each call is one node, the switch from rows to columns
-    included.  When ``budget`` nodes are exhausted the result is bounds
-    only, the bisected refinement bound below the incumbent, unless that
-    bound meets it.  The search nests one frame per step, at most
-    |X| + 1 + |Y| of them and at most ``budget`` + 1, so a search that
-    would pass the recursion limit is refused with ``ExhaustiveLimitError``;
-    refinement runs first, so an instance it closes at the root solves at
-    any size.
+    One search walks a list of steps, each fixing one index of the next
+    pair: first every X row in decreasing eccentricity, then, once every
+    row has an image, one step per still-uncovered Y column.  A step tries
+    its live cells in increasing partial distortion, ties to the smallest
+    index, and drops a cell at the first term that reaches the incumbent.
+    Each node visited counts, the switch from rows to columns included.
+    When ``budget`` nodes are exhausted the result is bounds only, the
+    bisected refinement bound below the incumbent, unless that bound meets
+    it.
     """
     n, m = x.n, y.n
     den, dx, dy, lower_int, best_val, best_pairs = _start(x, y)
@@ -448,61 +430,48 @@ def gh_branch_bound(
     line_pair = x.line_coords is not None and y.line_coords is not None
     refine = _singleton_refine if line_pair else _refine
     live = refine(dx, dy, best_val) if best_val > lower_int else None
-    # search(0) .. search(n + 1 + m), and no deeper than the budget's nodes
-    depth = n + m + 2 if budget is None else min(n + m + 2, budget + 1)
     if live is None:
         lower_int = best_val
-    elif _too_deep(depth):
-        steps = (f"|X| + |Y| = {n + m} search steps" if depth == n + m + 2
-                 else f"{depth} search steps under a budget of {budget} nodes")
-        raise ExhaustiveLimitError(
-            f"{steps} nest deeper than the recursion limit {sys.getrecursionlimit()}")
-
-    asg: list[Pair] = []
-    nodes = 0
-    truncated = False
-
-    def search(k: int, cur: int) -> None:
-        nonlocal nodes, truncated, best_val, best_pairs
-        nodes += 1
-        if budget is not None and nodes > budget:
-            truncated = True
-            return
-        if best_val == lower_int:
-            return
-        if k == len(steps):
-            best_val = cur
-            best_pairs = list(asg)
-            return
-        step = steps[k]
-        if step is None:
-            covered = {j for _, j in asg}
-            steps[k + 1:] = [cols[j] for j in range(m) if j not in covered]
-            search(k + 1, cur)
-            return
-        cands = []
-        for i, j in step:
-            nd = _reach(cur, dx[i], dy[j], asg, best_val)
-            if nd < best_val:
-                cands.append((nd, i, j))
-        cands.sort()
-        for nd, i, j in cands:
-            if nd >= best_val:
-                break
-            asg.append((i, j))
-            search(k + 1, nd)
-            asg.pop()
-            if truncated:
-                return
-
-    if live is not None:
+        stack = []
+    else:
         # a step lists the live cells (i, j) of one X row or, after the
         # switch marked None, of one uncovered Y column
         order = sorted(range(n), key=lambda i: (-max(dx[i]), i))
         steps = [[(i, j) for j in range(m) if live[i] >> j & 1] for i in order] + [None]
         cols = [[(i, j) for i in range(n) if live[i] >> j & 1] for j in range(m)]
-        search(0, 0)
-    del search  # the recursive closure is a reference cycle through its cell
+        stack = [(0, 0, ())]
+
+    # depth first: each entry (step, partial distortion, pairs) is a node,
+    # skipped once the incumbent it was pushed under has fallen to its
+    # distortion, as its later siblings are, since candidates are sorted
+    nodes = 0
+    truncated = False
+    while stack:
+        k, cur, asg = stack.pop()
+        if cur >= best_val:
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            truncated = True
+            break
+        if best_val == lower_int:
+            continue
+        if k == len(steps):
+            best_val, best_pairs = cur, asg
+            continue
+        step = steps[k]
+        if step is None:
+            covered = {j for _, j in asg}
+            steps[k + 1:] = [cols[j] for j in range(m) if j not in covered]
+            stack.append((k + 1, cur, asg))
+            continue
+        cands = []
+        for i, j in step:
+            nd = _reach(cur, dx[i], dy[j], asg, best_val)
+            if nd < best_val:
+                cands.append((nd, i, j))
+        cands.sort(reverse=True)
+        stack += [(k + 1, nd, asg + ((i, j),)) for nd, i, j in cands]
 
     # the search may have lowered the incumbent to a value refinement refutes
     low = _refined_bound(dx, dy, lower_int, best_val + 1) if truncated else best_val

@@ -353,32 +353,28 @@ def test_gh_exact_over_limit_exits_2(tmp_path, capsys):
     assert "branch_bound" in capsys.readouterr().err
 
 
-def test_gh_exact_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
-    # 1,600 pair slots within --limit; the subset search would nest one frame
-    # per slot and overflow the stack, so it is refused before it starts
+def test_gh_exact_on_1600_slots_closed_at_the_start_exits_0(tmp_path, capsys):
+    # 1,600 pair slots within --limit; the identity seed meets the diameter
+    # bound, so the answer needs no search node, however deep the search
     rng = random.Random(1)
-    x, y = (write(tmp_path / f"{name}.json", {"kind": "points", "coords": [
-        str(v) for v in sorted(rng.sample(range(48), 40))]}) for name in "xy")
-    assert main(["dist-gh", x, y, "--method", "exact", "--limit", "2000"]) == 2
+    x = write(tmp_path / "x.json", {"kind": "points", "coords": [
+        str(v) for v in sorted(rng.sample(range(48), 40))]})
+    assert main(["dist-gh", x, x, "--method", "exact", "--limit", "2000"]) == 0
     captured = capsys.readouterr()
-    assert captured.err == (
-        "error: |X|*|Y| = 1600 pair slots nest deeper than the recursion limit "
-        f"{sys.getrecursionlimit()}; use gh_branch_bound\n")
-    assert captured.out == ""
+    assert "status: exact\n" in captured.out and "d_gh: 0\n" in captured.out
+    assert captured.out.endswith("nodes: 0\n") and captured.err == ""
 
 
-def test_branch_bound_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+def test_branch_bound_deeper_than_the_recursion_limit_solves(tmp_path, capsys):
     # 1,200 points against a 2-point matrix: refinement leaves the root open,
-    # and the search would nest one frame per step and overflow the stack
+    # and the search walks 1,203 steps, more than the default recursion limit
     x = write(tmp_path / "x.json", {"kind": "points", "coords": [
         str(2 * k) for k in range(1200)]})
     y = write(tmp_path / "y.json", {"kind": "matrix", "dist": [["0", "7"], ["7", "0"]]})
-    assert main(["dist-gh", x, y, "--method", "branch-bound"]) == 2
+    assert main(["dist-gh", x, y, "--method", "branch-bound"]) == 0
     captured = capsys.readouterr()
-    assert captured.err == (
-        "error: |X| + |Y| = 1202 search steps nest deeper than the recursion "
-        f"limit {sys.getrecursionlimit()}\n")
-    assert captured.out == ""
+    assert "status: exact\n" in captured.out and "d_gh: 2391/2\n" in captured.out
+    assert captured.out.endswith("nodes: 1203\n") and captured.err == ""
 
 
 def test_branch_bound_well_below_the_recursion_limit_still_searches(tmp_path, capsys):
@@ -389,6 +385,25 @@ def test_branch_bound_well_below_the_recursion_limit_still_searches(tmp_path, ca
     out = capsys.readouterr().out
     assert "status: exact\n" in out and "d_gh: 51/2\n" in out
     assert "nodes: 0\n" not in out
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("field", ["coords", "window", "--lam"])
+def test_huge_exponent_exits_2_at_its_field(tmp_path, capsys, sign, field):
+    # Fraction(str) would compute 10**100000000 before any check; the parser
+    # refuses an exponent beyond the int() digit limit first
+    huge = f"1e{sign}100000000"
+    coords = ["0", huge] if field == "coords" else ["0"]
+    x = write(tmp_path / "x.json", {"kind": "points", "coords": coords})
+    w = write(tmp_path / "w.json", {"kind": "window", "lo": "0",
+                                    "hi": huge if field == "window" else "1"})
+    lam = huge if field == "--lam" else "1/2"
+    assert main(["contract", x, "--lam", lam, "--window", w]) == 2
+    where = {"coords": f"{x}.coords[1]", "window": f"{w}.hi", "--lam": "--lam"}[field]
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {where}: not a rational: {huge!r} "
+                            "(exponent beyond +-4300)\n")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("coords, flags, field, message", [

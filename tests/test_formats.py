@@ -227,16 +227,27 @@ def test_gh_certificate_missing_field_is_a_format_error():
     assert exc.value.location == "$.upper"
 
 
-# the two forms the parser takes with int(), their look-alikes, and strings
-# whose acceptance differs between Python versions
+# the two forms the parser takes with int(), their look-alikes, strings that
+# Fraction reads on some Python versions only, and exponents at the bound
 EDGE_SCALARS = [
     "12", "-3", "3/6", "-0", "007/014", "+3", " 3", "3/-4", "--3", "-", "1/0",
-    "1.5", "1e3", "1_000", "1_0/2", "3 / 4", "٣", "3/٤", "9" * 5000,
+    "1.5", "1e3", "1_000", "1_0/2", "3 / 4", "1 /2", "1/ 2", "1.5_0", "1e1_0",
+    "٣", "3/٤", "9" * 5000, ".5", "5.", ".", "1e", "1/2e3", " -2.5E-3 ",
+    "1e4300", "1E-4300", "1e4301", "-1e-4301", "1e+000004301",
 ]
+# an independent statement of the grammar of Fraction(str) on Python 3.10
+GRAMMAR = re.compile(r"\s*[-+]?(\d+/\d+|(\d+\.?\d*|\.\d+)([eE](?P<exp>[-+]?\d+))?)\s*")
 
 
 def _as_fraction_does(s: str):
-    """What parse_scalar must give: Fraction(s), or the error it wraps."""
+    """What parse_scalar must give on every Python: Fraction(s), or the error
+    it wraps, for a string in 3.10's grammar with an exponent of at most 4300
+    in absolute value; a refusal for any other string."""
+    match = GRAMMAR.fullmatch(s)
+    if match is None:
+        return f"$: not a rational: {s!r} (Invalid literal for Fraction: {s!r})"
+    if match["exp"] and abs(int(match["exp"])) > 4300:
+        return f"$: not a rational: {s!r} (exponent beyond +-4300)"
     try:
         return F(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -266,6 +277,15 @@ def test_parse_scalar_agrees_with_fraction_on_random_strings():
         assert _as_parsed(s) == want, s
         accepted += isinstance(want, F)
     assert accepted > 100  # the table reaches both the fast path and the rest
+
+
+def test_scalar_grammar_is_the_same_on_every_python():
+    written = ["2.50", "007", "1e1", "-7/14", "3.0"]
+    assert [parse_scalar(s) for s in written] == [F(5, 2), 7, 10, F(-1, 2), 3]
+    # Fraction takes these on 3.11 or 3.12 and later, not on 3.10
+    for s in ["1_000", "1_0/2", "1 /2", "3 / 4"]:
+        with pytest.raises(FormatError, match="Invalid literal for Fraction"):
+            parse_scalar(s)
 
 
 def test_bad_scalar_locations():

@@ -81,67 +81,53 @@ def test_gh_exact_frozen_examples():
     assert 2 * gh_exact(line(3, 9), line(6, 18)).exact == 6
 
 
-def test_gh_exact_refuses_rather_than_overflow_the_stack():
-    # a band matrix against a relabelled copy: the search reaches a leaf, one
-    # frame per pair slot, before it finds the relabelling
+def _short_stack_limit() -> int:
+    """A recursion limit 48 frames above the caller's stack: room for library
+    calls (``fractions`` nests a few), not for one frame per search step."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth + 48
+
+
+def test_gh_exact_solves_under_a_short_recursion_limit():
+    # a band matrix against a relabelled copy: the search reaches a leaf, 25
+    # pair slots deep, before it finds the relabelling
     d = [[0, 16, 16, 10, 14], [16, 0, 18, 17, 16], [16, 18, 0, 14, 17],
          [10, 17, 14, 0, 15], [14, 16, 17, 15, 0]]
     perm = [2, 4, 0, 1, 3]
     x = FiniteMetricSpace.from_matrix(d)
     y = FiniteMetricSpace.from_matrix([[d[a][b] for b in perm] for a in perm])
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    found = []
     old = sys.getrecursionlimit()
     try:
-        # the runner's C-level calls count against the limit with no frame
-        for limit in range(depth + 16, depth + 80):
-            sys.setrecursionlimit(limit)
-            try:
-                found.append(gh_exact(x, y).exact)
-            except ExhaustiveLimitError:
-                found.append(None)
+        sys.setrecursionlimit(_short_stack_limit())
+        found = gh_exact(x, y)
     finally:
         sys.setrecursionlimit(old)
-    # refused while the stack is short, exact once it is not, and never a
-    # RecursionError in between
-    assert found[0] is None and found[-1] == 0
-    assert found == sorted(found, key=lambda v: v is not None)
+    assert found.exact == 0 and found.nodes_explored > 25
 
 
-def test_branch_bound_refuses_only_a_search_past_the_recursion_limit():
-    # refinement closes this line pair at the root, so it solves however
-    # short the stack; the 30-point set against a 2-point matrix needs a
-    # search of 30 + 1 + 2 nested steps and is refused, not overflowed,
-    # unless a node budget keeps the search shallow
+def test_branch_bound_solves_under_a_short_recursion_limit():
+    # refinement closes the first line pair at the root; the 1,200- and
+    # 30-point sets against a 2-point matrix need a search of |X| + 1 + |Y|
+    # steps, far deeper than the limit leaves room for
     qx = line(1, 5, 7, 10, 14, 17, 18, 23, 24, 33)
     qy = line(9, 13, 17, 18, 29, 32, 33, 36)
+    long = line(*range(0, 2400, 2))
     far = line(*range(0, 60, 2))
     pair = FiniteMetricSpace.from_matrix([[0, 7], [7, 0]])
-    assert gh_branch_bound(far, pair).nodes_explored > 0
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
     old = sys.getrecursionlimit()
     try:
-        # room for refinement's own calls, not for 30 + 1 + 2 steps and the
-        # 32 frames kept free
-        sys.setrecursionlimit(depth + 48)
+        sys.setrecursionlimit(_short_stack_limit())
         closed = gh_branch_bound(qx, qy)
-        with pytest.raises(ExhaustiveLimitError, match="recursion limit"):
-            gh_branch_bound(far, pair)
-        # a budget of 3 nodes nests at most 4 search frames
-        budgeted = gh_branch_bound(far, pair, budget=3)
-        # a budget of 30 nodes still nests too deep, and is named as the bound
-        with pytest.raises(ExhaustiveLimitError, match=(
-                r"^31 search steps under a budget of 30 nodes nest deeper than the "
-                rf"recursion limit {depth + 48}$")):
-            gh_branch_bound(far, pair, budget=30)
+        solved = gh_branch_bound(long, pair)
+        budgeted = [gh_branch_bound(far, pair, budget=b) for b in (3, 30)]
     finally:
         sys.setrecursionlimit(old)
     assert closed.exact is not None and closed.nodes_explored == 0
-    assert budgeted.nodes_explored == 4 and budgeted.exact is None
+    assert solved.exact == F(2391, 2) and solved.nodes_explored == 1203
+    assert [r.nodes_explored for r in budgeted] == [4, 31]
+    assert all(r.exact is None and r.lower < r.upper for r in budgeted)
 
 
 def test_gh_exact_matches_oracle_on_random_small_instances():
