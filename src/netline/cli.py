@@ -59,11 +59,14 @@ def _as_hausdorff_operand(obj: SpaceObject):
     return obj
 
 
-def _load_window(path: str) -> Window:
-    obj = _load_space(path)
-    if not isinstance(obj, Window):
-        raise FormatError(path, "expected a window document")
-    return obj
+def _points_in_window(args: argparse.Namespace) -> tuple[PointSet, Window]:
+    x = _load_space(args.x)
+    if not isinstance(x, PointSet):
+        raise FormatError(args.x, f"{args.command} expects a points document")
+    w = _load_space(args.window)
+    if not isinstance(w, Window):
+        raise FormatError(args.window, "expected a window document")
+    return x, w
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -127,10 +130,7 @@ def _naming(flag: str, path: str) -> Iterator[None]:
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
-    x = _load_space(args.x)
-    if not isinstance(x, PointSet):
-        raise FormatError(args.x, "contract expects a points document")
-    w = _load_window(args.window)
+    x, w = _points_in_window(args)
     lam = parse_scalar(args.lam, "--lam")
     with _naming("--lam", args.x):
         result = contract(x, lam, w)
@@ -139,10 +139,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    x = _load_space(args.x)
-    if not isinstance(x, PointSet):
-        raise FormatError(args.x, "trace expects a points document")
-    w = _load_window(args.window)
+    x, w = _points_in_window(args)
     grid = [parse_scalar(g, "--grid") for g in args.grid.split(",")]
     with _naming("--grid", args.x):
         tr = run_trace(x, w, grid)

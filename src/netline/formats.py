@@ -1,15 +1,14 @@
 """Document formats: space descriptions, distance matrices, GH certificates.
 
 Scalars travel as exact strings; JSON floats are rejected because they are
-already rounded.  A scalar string is in the grammar `fractions.Fraction`
-reads on Python 3.10, on every version, with an exponent of at most 4300 in
-absolute value.  Coordinates, interval ends and matrix entries become the
-ints over one denominator that the spaces store.  When every scalar of a
-list is in a form the program writes, ASCII "-?digits" or "-?digits/digits",
-one pass that deletes the ASCII digits checks them all and `str.partition`
-and `int()` convert them; any other list, and any single scalar, is checked
-against the grammar and read by `Fraction(str)`, which gives the same values
-and reports the first bad field in document order.  Printing is canonical
+already rounded.  A scalar string is read in the one grammar that
+`geometry.as_scalar` owns.  Coordinates, interval ends and matrix entries
+become the ints over one denominator that the spaces store.  When every
+scalar of a list is in a form the program writes, ASCII "-?digits" or
+"-?digits/digits", one pass that deletes the ASCII digits checks them all
+and `str.partition` and `int()` convert them; any other list, and any
+single scalar, is read by `as_scalar`, which gives the same values and
+reports the first bad field in document order.  Printing is canonical
 and deterministic, so parse(print(x)) = x bit-exact and identical inputs
 always produce byte-identical documents: scalar strings are built from the
 stored ints, and `dumps_doc` writes `json.dumps(doc, sort_keys=True, indent=2)`.
@@ -18,7 +17,6 @@ stored ints, and `dumps_doc` writes `json.dumps(doc, sort_keys=True, indent=2)`.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -27,7 +25,8 @@ from operator import itemgetter, mul
 from typing import Any, Callable, Union
 
 from .correspondence import Correspondence, FiniteMetricSpace, Relation, distortion
-from .geometry import Form, IntervalUnion, PointSet, Window, _Ints, _over_lcm, scalar_str
+from .geometry import (
+    Form, IntervalUnion, PointSet, Window, _Ints, _over_lcm, as_scalar, scalar_str)
 from .solver import EXHAUSTIVE_LIMIT, GHResult, gh_exact
 
 SpaceObject = Union[PointSet, IntervalUnion, Window]
@@ -76,14 +75,6 @@ def _written(values: list[Any]) -> Form | None:
     return list(map(mul, ints, map(scale.__getitem__, dens))), lcm_den
 
 
-# the grammar of `Fraction(str)` on Python 3.10 (later versions also take "_"
-# between digits and spaces around "/"); as `Fraction(str)` computes 10**exp,
-# an exponent stops at the int() digit limit
-_RATIONAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*"
-                       r"(?:/\d+|(?:\.\d*)?(?:[eE](?P<exp>[-+]?\d+))?)\s*")
-_MAX_EXPONENT = 4300
-
-
 def _ratio(value: Any, location: str | Callable[[], str]) -> tuple[int, int]:
     """(num, den) of a document scalar in lowest terms; a callable ``location``
     is called to build the field's location only if it fails."""
@@ -93,12 +84,7 @@ def _ratio(value: Any, location: str | Callable[[], str]) -> tuple[int, int]:
         elif isinstance(value, int):
             return value, 1
         elif isinstance(value, str):
-            match = _RATIONAL.fullmatch(value)
-            if match is None:
-                raise ValueError(f"Invalid literal for Fraction: {value!r}")
-            if match["exp"] and abs(int(match["exp"])) > _MAX_EXPONENT:
-                raise ValueError(f"exponent beyond +-{_MAX_EXPONENT}")
-            return Fraction(value).as_integer_ratio()
+            return as_scalar(value).as_integer_ratio()
         elif isinstance(value, float):
             message = "floats are not exact; write the value as a string"
         else:

@@ -17,6 +17,7 @@ ends, and one O(n + m) merge gives a directed sup.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,19 +34,33 @@ ScalarLike = Union[Fraction, int, str]
 Form = tuple[Sequence[int], int]  # values ints[k] / den over one positive den
 
 
-def as_scalar(value: ScalarLike) -> Fraction:
-    """Coerce an int, Fraction or rational string ("3", "1/2", "0.25").
+# the grammar of `Fraction(str)` on Python 3.10 (later versions also take "_"
+# between digits and spaces around "/"); the exponent bound stops a huge
+# 10**exp, not every value too long to print: "1e4300" has 4301 digits
+_RATIONAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*"
+                       r"(?:/\d+|(?:\.\d*)?(?:[eE](?P<exp>[-+]?\d+))?)\s*")
+_MAX_EXPONENT = 4300
 
-    Floats are rejected: a binary float would smuggle rounding into code
-    that promises exact arithmetic.
+
+def as_scalar(value: ScalarLike) -> Fraction:
+    """Coerce an int, Fraction or rational string ("3", "1/2", "0.25"): the
+    one reader of numeric strings, where a string outside `_RATIONAL` or its
+    exponent bound is a ValueError.  Floats are rejected: a binary float
+    would smuggle rounding into code that promises exact arithmetic.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError(f"not a scalar: {value!r}")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+    if isinstance(value, str):
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ValueError(f"Invalid literal for Fraction: {value!r}")
+        if match["exp"] and abs(int(match["exp"])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond +-{_MAX_EXPONENT}")
+    elif not isinstance(value, int):
+        raise TypeError(f"cannot use {type(value).__name__} as an exact scalar")
+    return Fraction(value)
 
 
 def scalar_str(value: Fraction) -> str:

@@ -173,7 +173,11 @@ TRACE_CSV_COLUMNS = (
 
 
 def _dec(v: Fraction) -> str:
-    return f"{float(v):.12g}"
+    """The decimal twin of a nonnegative value: inf beyond the float range."""
+    try:
+        return f"{float(v):.12g}"
+    except OverflowError:
+        return "inf"
 
 
 def _exact_or_inf(v: Fraction | None) -> str:

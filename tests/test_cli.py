@@ -129,6 +129,16 @@ def test_trace_csv_final_row_reaches_window(spaces, capsys):
     assert last[3] == "0"  # d_H to window is zero at lam = 1
 
 
+def test_trace_beyond_the_float_range_writes_inf(spaces, tmp_path, capsys):
+    # 10**400 is beyond the float range: the exact columns hold it, the decimal twins read inf
+    w = write(tmp_path / "far.json", {"kind": "window", "lo": "0", "hi": "1e400"})
+    assert main(["trace", spaces["a"], "--window", w, "--grid", "0,1/2,1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[6:] for row in rows] == [
+        ["0", "inf", "0"], ["0.5", "inf", "1"], ["1", "0", "inf"]]
+    assert [rows[0][3], rows[2][4]] == [str(10**400), str(10**400 - 1)]
+
+
 def test_verify_subcommand_green_suite(capsys):
     assert main(["verify", "bounded-cloud", "--seed", "3", "--cases", "40"]) == 0
     out = capsys.readouterr().out

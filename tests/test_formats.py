@@ -18,6 +18,7 @@ from netline import (
     IntervalUnion,
     PointSet,
     Window,
+    as_scalar,
     gh_branch_bound,
     gh_exact,
 )
@@ -261,9 +262,19 @@ def _as_parsed(s: str):
         return str(exc)
 
 
+def _as_coerced(s: str):
+    """`as_scalar`'s answer, with a refusal worded as `parse_scalar` wraps it."""
+    try:
+        return as_scalar(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        return f"$: not a rational: {s!r} ({exc})"
+
+
 def test_parse_scalar_agrees_with_fraction_on_edge_strings():
     for s in EDGE_SCALARS:
-        assert _as_parsed(s) == _as_fraction_does(s), s[:20]
+        want = _as_fraction_does(s)
+        assert _as_parsed(s) == want, s[:20]
+        assert _as_coerced(s) == want, s[:20]
 
 
 def test_parse_scalar_agrees_with_fraction_on_random_strings():
@@ -275,6 +286,7 @@ def test_parse_scalar_agrees_with_fraction_on_random_strings():
     for s in strings:
         want = _as_fraction_does(s)
         assert _as_parsed(s) == want, s
+        assert _as_coerced(s) == want, s
         accepted += isinstance(want, F)
     assert accepted > 100  # the table reaches both the fast path and the rest
 
@@ -282,10 +294,13 @@ def test_parse_scalar_agrees_with_fraction_on_random_strings():
 def test_scalar_grammar_is_the_same_on_every_python():
     written = ["2.50", "007", "1e1", "-7/14", "3.0"]
     assert [parse_scalar(s) for s in written] == [F(5, 2), 7, 10, F(-1, 2), 3]
+    assert [as_scalar(s) for s in written] == [F(5, 2), 7, 10, F(-1, 2), 3]
     # Fraction takes these on 3.11 or 3.12 and later, not on 3.10
     for s in ["1_000", "1_0/2", "1 /2", "3 / 4"]:
         with pytest.raises(FormatError, match="Invalid literal for Fraction"):
             parse_scalar(s)
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            as_scalar(s)
 
 
 def test_bad_scalar_locations():

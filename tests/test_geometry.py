@@ -14,10 +14,12 @@ from fractions import Fraction as F
 import pytest
 
 from netline import (
+    FiniteMetricSpace,
     IntervalUnion,
     PointSet,
     Window,
     as_scalar,
+    contract,
     covering_radius,
     hausdorff,
     is_eps_net,
@@ -427,3 +429,18 @@ def test_inexact_scalars_and_nonpositive_scales_are_refused():
         with pytest.raises(ValueError) as exc:
             PointSet.of([0, 1]).scale(factor)
         assert str(exc.value) == "scale factor must be positive"
+    # a library call reads a string in the documents' grammar on every Python,
+    # and refuses a huge exponent before `Fraction` computes 10**exp
+    calls = [
+        lambda v: PointSet.of(["0", v]),
+        lambda v: Window.of("0", v),
+        lambda v: FiniteMetricSpace.from_matrix([["0", v], [v, "0"]]),
+        lambda v: thicken(PointSet.of([0]), v),
+        lambda v: contract(PointSet.of([0]), v, Window.of(0, 1)),
+    ]
+    for value, message in [("1_000", "Invalid literal for Fraction: '1_000'"),
+                           ("1e100000000", "exponent beyond +-4300")]:
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call(value)
+            assert str(exc.value) == message
