@@ -14,7 +14,8 @@ import argparse
 import contextlib
 import functools
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from fractions import Fraction
 
 from . import harness
 from .errors import InvariantError
@@ -31,7 +32,7 @@ from .formats import (
 )
 from .geometry import IntervalUnion, PointSet, Window, hausdorff, scalar_str
 from .harness import SUITES
-from .homotopy import contract, trace_csv
+from .homotopy import contract, f_map, trace_csv
 from .homotopy import trace as run_trace
 from .solver import EXHAUSTIVE_LIMIT, gh_branch_bound, gh_exact
 
@@ -77,10 +78,37 @@ def _write_or_print(text: str, out: str | None) -> None:
             f.write(text)
 
 
+class _printing:
+    """Name the first of the output ``fields``, (name, value) pairs read only
+    on failure, that has no str: Python prints no int of more than
+    sys.get_int_max_str_digits() digits.  A class, not a generator, because
+    it wraps every dist-h answer."""
+
+    def __init__(self, fields: Iterable[tuple[str, object]]) -> None:
+        self.fields = fields
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is None or not issubclass(kind, ValueError):
+            return
+        for name, value in self.fields:
+            try:
+                str(value)
+            except ValueError:
+                raise FormatError(name, (
+                    f"exact value of more than {sys.get_int_max_str_digits()} "
+                    "digits, too long to print")) from None
+
+
 def cmd_dist_h(args: argparse.Namespace) -> int:
     a = _as_hausdorff_operand(_load_space(args.a))
     b = _as_hausdorff_operand(_load_space(args.b))
-    sys.stdout.write(scalar_str(hausdorff(a, b)) + "\n")
+    d = hausdorff(a, b)
+    with _printing([("dist-h result", d)]):
+        text = scalar_str(d) + "\n"
+    sys.stdout.write(text)
     return 0
 
 
@@ -134,7 +162,10 @@ def cmd_contract(args: argparse.Namespace) -> int:
     lam = parse_scalar(args.lam, "--lam")
     with _naming("--lam", args.x):
         result = contract(x, lam, w)
-    _write_or_print(dumps_doc(format_space(result)), args.out)
+    with _printing((f"contract output.intervals[{k // 2}][{k % 2}]",
+                    Fraction(v, result.den)) for k, v in enumerate(result.ints)):
+        text = dumps_doc(format_space(result))
+    _write_or_print(text, args.out)
     return 0
 
 
@@ -143,7 +174,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     grid = [parse_scalar(g, "--grid") for g in args.grid.split(",")]
     with _naming("--grid", args.x):
         tr = run_trace(x, w, grid)
-    _write_or_print(trace_csv(tr), args.out)
+    columns = ("lam", "f_lam", "d_H_to_window", "step_d_H", "certified_bound")
+    with _printing((f"trace row {k}, column {name}", v)
+                   for k, row in enumerate(tr.rows, 1)
+                   for name, v in zip(columns, (row.lam, f_map(row.lam),
+                                                row.d_to_window, row.step_d,
+                                                row.certified_bound))):
+        text = trace_csv(tr)
+    _write_or_print(text, args.out)
     return 0
 
 

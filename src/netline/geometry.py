@@ -280,10 +280,15 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     return Fraction(_symmetric_sup(sa, sb), scale)
 
 
+def _scale(*dens: int) -> int:
+    """The one scale of the int kernels: 2·lcm of the denominators."""
+    return 2 * lcm(*dens)
+
+
 def _scaled(*forms: Form) -> tuple[int, list[list[int]]]:
-    """The scale 2·lcm of the forms' denominators, and each form's ints over
-    it, each form times its one factor scale // den."""
-    scale = 2 * lcm(*{den for _, den in forms})
+    """The scale of the forms' denominators, and each form's ints over it,
+    each form times its one factor scale // den."""
+    scale = _scale(*{den for _, den in forms})
     scaled = []
     for ints, den in forms:
         f = scale // den
@@ -394,10 +399,10 @@ def covering_radius(a: PointSet, w: Window) -> Fraction:
     """d_H(A, window): the larger end gap, or half the largest gap of the points."""
     if not w.contains(a):
         raise ValueError("point set must lie inside the window")
-    gap = max(map(sub, a.ints[1:], a.ints), default=0)
-    scale, ((first, last, gap), (lo, hi)) = _scaled(
-        ((a.ints[0], a.ints[-1], gap), a.den), (w.ints, w.den))
-    return Fraction(max(first - lo, hi - last, gap // 2), scale)
+    scale, ints, (lo, hi) = _scale(a.den, w.den), a.ints, w.ints
+    f, g = scale // a.den, scale // w.den
+    gap = max(map(sub, ints[1:], ints), default=0) * f
+    return Fraction(max(ints[0] * f - lo * g, hi * g - ints[-1] * f, gap // 2), scale)
 
 
 def is_eps_net(a: PointSet, w: Window, eps: ScalarLike) -> bool:

@@ -195,13 +195,13 @@ def random_metric_space(
 ) -> FiniteMetricSpace:
     """Either a line subset or a "band" metric whose distances all sit in a
     2:1 range, so the triangle inequality holds for free."""
-    n = rng.randrange(1, max_points + 1)
+    n = 1 + _below(rng, max_points)
     if n == 1:
         return FiniteMetricSpace.singleton()
     if rng.random() < 0.5:
         pts = random_point_set(rng, cfg, min_points=n, max_points=n)
         return FiniteMetricSpace.from_line(pts)
-    q = rng.randrange(1, DENOMINATOR_BOUND + 1)
+    q = 1 + _below(rng, DENOMINATOR_BOUND)
     # every distance (p/s)·(q + r)/q, for the scale p/s in [1/2, 3], over s·q
     p, s = _random_ratio(rng, ([1, 6], 2), 8)
     ints = [0] * (n * n)
@@ -511,27 +511,29 @@ def _check_inverted_gap(tally, x, spacing, k, witness):
 def _perturbed_instance(rng: random.Random, lam: Fraction) -> dict:
     """Grid plus a tiny perturbation: the nearest-point correspondence is
     order-preserving and distorts by at most lam/32."""
-    n = rng.randint(3, 4)
-    spacing = Fraction(rng.randint(2, 4), 4)
-    x = PointSet(tuple(k * spacing for k in range(n)))
-    delta = lam / 64
-    xn = PointSet(
-        tuple(p + Fraction(rng.randint(-16, 16), 16) * delta for p in x.points)
-    )
-    return {"x": x, "xn": xn}
+    n = 3 + _below(rng, 2)
+    spacing = 2 + _below(rng, 3)  # over 4
+    # points k·spacing/4, moved by j/16 of lam/64 for |j| <= 16, over 4096·q
+    p, q = lam.as_integer_ratio()
+    xs = [k * spacing * 1024 * q for k in range(n)]
+    xn = [v + (_below(rng, 33) - 16) * 4 * p for v in xs]
+    den = 4096 * q
+    return {"x": PointSet.from_ints(xs, den), "xn": PointSet.from_ints(xn, den)}
 
 
 def _swap_instance(rng: random.Random, lam: Fraction) -> dict:
     """Grid with one very close extra point whose image is swapped with its
     neighbour: exercises the inverted-order case of the extension while
     keeping dis R < lam/8 and the inverted gap at most twice dis R."""
-    n = rng.randint(3, 4)
-    spacing = Fraction(rng.randint(2, 3), 4)
-    tiny = lam / rng.randint(40, 64)
-    pts = [k * spacing for k in range(n)]
-    k = rng.randint(0, n - 2)
-    pts.insert(k + 1, pts[k] + tiny)
-    return {"x": PointSet(tuple(pts)), "k": k}
+    n = 3 + _below(rng, 2)
+    spacing = 2 + _below(rng, 2)  # over 4
+    # points k·spacing/4 and one more lam/t past the k-th, over 4·q·t
+    p, q = lam.as_integer_ratio()
+    t = 40 + _below(rng, 25)
+    pts = [j * spacing * q * t for j in range(n)]
+    k = _below(rng, n - 1)
+    pts.insert(k + 1, pts[k] + 4 * p)
+    return {"x": PointSet.from_ints(pts, 4 * q * t), "k": k}
 
 
 def _draw_construction_bounds(rng, cfg, index):
@@ -543,21 +545,21 @@ def _draw_construction_bounds(rng, cfg, index):
     generated inside the ambient hypotheses: dis R < lam/8 and every
     order-inverted pair of R spanning at most twice dis R.
     """
-    n = rng.randint(2, 3)
-    spacing = Fraction(rng.randint(2, 3), 4)
-    x = _jittered_grid(rng, n, spacing, rng.randint(1, 3))
+    n = 2 + _below(rng, 2)
+    spacing = Fraction(2 + _below(rng, 2), 4)
+    x = _jittered_grid(rng, n, spacing, 1 + _below(rng, 3))
     r1 = random_scalar(rng, Fraction(0), Fraction(3, 4), 8)
     r2 = random_scalar(rng, Fraction(0), Fraction(3, 4), 8)
     if rng.random() < 0.2:
         r1 = Fraction(0)
-    step = Fraction(1, rng.choice((3, 4, 5)))
+    step = Fraction(1, 3 + _below(rng, 3))
     segment = {"x": x, "r1": r1, "r2": r2, "step": step}
-    lam = Fraction(rng.randint(2, 4), rng.randint(6, 8))
+    lam = Fraction(2 + _below(rng, 3), 6 + _below(rng, 3))
     if rng.random() < 0.3:
         extension = _swap_instance(rng, lam)
     else:
         extension = _perturbed_instance(rng, lam)
-    extension.update(lam=lam, step=Fraction(1, rng.choice((3, 4))))
+    extension.update(lam=lam, step=Fraction(1, 3 + _below(rng, 2)))
     return [(_check_segment, segment), (_check_extension, extension)]
 
 

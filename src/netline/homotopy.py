@@ -6,10 +6,11 @@ Clipping keeps the windowed model closed under the deformation and changes
 no Hausdorff quantity measured against the window.  Every span [p - r,
 p + r] of a point in the window meets the window, so one sorted fuse that
 clamps only its two outer ends equals clipping after.  All of it runs on
-the stored ints of the sets and the window, rescaled to one scale with
-every radius; a radius f(lam) = n/(d - n) of lam = n/d enters as that int
-pair, each deformed set is built from its ints by the int constructor, and
-Fractions are built only for distances and bounds.
+the stored ints of the sets and the window, each times its factor of one
+`geometry._scale` with every radius; a radius f(lam) = n/(d - n) of lam =
+n/d enters as that int pair, each deformed set is built from its ints by the
+int constructor, and Fractions are built only for distances and bounds.
+Stability deforms only at its lam: its inputs are swept as point sets.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .geometry import (
     ScalarLike,
     Window,
     _clamp_fuse,
-    _scaled,
+    _point_sup,
+    _scale,
     _symmetric_sup,
     as_scalar,
     scalar_str,
@@ -50,22 +52,25 @@ def f_map(lam: ScalarLike) -> Fraction | None:
 
 def _deformations(
     sets: Sequence[PointSet], lams: Sequence[ScalarLike], w: Window
-) -> tuple[int, list[int], list[int], list[list[list[int]]]]:
-    """(scale, window, radius per lam, each set's flat int spans per lam),
-    all ints over scale."""
+) -> tuple[int, list[int], list[int], list[list[int]], list[list[list[int]]]]:
+    """(scale, window, radius per lam, each set's points, each set's flat int
+    spans per lam), all ints over scale."""
     # the first parameter is checked before the window, the rest after it
-    radii = [_radius(lam) for lam in lams[:1]]
-    if not all(w.contains(s) for s in sets):
+    radii = list(map(_radius, lams[:1]))
+    if not all(map(w.contains, sets)):
         raise ValueError("point set must lie inside the window")
     radii += map(_radius, lams[1:])
+    scale = _scale(w.den, *[s.den for s in sets], *[r[1] for r in radii if r])
+    f, (lo, hi) = scale // w.den, w.ints
+    lo, hi = window = [lo * f, hi * f]
     # at lam = 1, a radius of the window's width fuses any set into the window
-    lo, hi = w.ints
-    forms = [([hi - lo], w.den) if f is None else ([f[0]], f[1]) for f in radii]
-    forms += [(s.ints, s.den) for s in sets]
-    scale, (window, *scaled) = _scaled((w.ints, w.den), *forms)
-    rs = [r for (r,) in scaled[:len(radii)]]
-    fused = [[_clamp_fuse(p, p, r, *window) for r in rs] for p in scaled[len(radii):]]
-    return scale, window, rs, fused
+    rs = [hi - lo if r is None else r[0] * (scale // r[1]) for r in radii]
+    points, fused = [], []
+    for s in sets:
+        f = scale // s.den
+        points.append(p := [v * f for v in s.ints])
+        fused.append([_clamp_fuse(p, p, r, lo, hi) for r in rs])
+    return scale, window, rs, points, fused
 
 
 def contract(x: PointSet, lam: ScalarLike, w: Window) -> IntervalUnion:
@@ -74,7 +79,7 @@ def contract(x: PointSet, lam: ScalarLike, w: Window) -> IntervalUnion:
     lam = 0 reproduces the set, lam = 1 yields the full window; in between,
     one fuse of the spans [p - r, p + r] clamped to the window, r = lam/(1-lam).
     """
-    scale, _, _, [[flat]] = _deformations([x], [lam], w)
+    scale, _, _, _, [[flat]] = _deformations([x], [lam], w)
     return IntervalUnion.from_ints(flat, scale)
 
 
@@ -90,7 +95,7 @@ def continuity_in_lambda(
     v1, v2 = as_scalar(lam1), as_scalar(lam2)
     if not (0 <= v1.numerator < v1.denominator and 0 <= v2.numerator < v2.denominator):
         raise ValueError("both parameters must lie in [0, 1)")
-    scale, _, (r1, r2), [[a, b]] = _deformations([x], [v1, v2], w)
+    scale, _, (r1, r2), _, [[a, b]] = _deformations([x], [v1, v2], w)
     return Fraction(_symmetric_sup(a, b), scale), Fraction(abs(r1 - r2), scale)
 
 
@@ -105,9 +110,9 @@ def stability_in_space(
     v = as_scalar(lam)
     if not 0 <= v.numerator < v.denominator:
         raise ValueError("lam must lie in [0, 1)")
-    # lam = 0 leaves each set as it is, so the second pair is the inputs
-    scale, _, _, flats = _deformations([x, xn], [v, 0], w)
-    return tuple(Fraction(_symmetric_sup(a, b), scale) for a, b in zip(*flats))
+    scale, _, _, (p, pn), [[a], [an]] = _deformations([x, xn], [v], w)
+    return (Fraction(_symmetric_sup(a, an), scale),
+            Fraction(max(_point_sup(p, pn), _point_sup(pn, p)), scale))
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:
         raise ValueError("grid must be nonempty")
     if any(a > b for a, b in zip(lams, lams[1:])):
         raise ValueError("grid must be sorted ascending")
-    scale, window, radii, [flats] = _deformations([x], lams, w)
+    scale, window, radii, _, [flats] = _deformations([x], lams, w)
     steps = list(zip(lams, radii, flats))
     rows: list[TraceRow] = []
     # the first row steps from itself: distance 0, bound 0

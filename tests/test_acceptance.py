@@ -211,10 +211,13 @@ def test_criterion_8_infinite_space_trends():
 def test_criterion_9_determinism(tmp_path, capsys):
     x = tmp_path / "x.json"
     y = tmp_path / "y.json"
-    x.write_text(json.dumps({"kind": "points", "coords": ["0", "1", "5"]}))
-    y.write_text(json.dumps({"kind": "points", "coords": ["0", "2", "7"]}))
+    x.write_text(json.dumps({"kind": "points", "coords": ["0", "1", "5"]}),
+                 encoding="utf-8")
+    y.write_text(json.dumps({"kind": "points", "coords": ["0", "2", "7"]}),
+                 encoding="utf-8")
     w = tmp_path / "w.json"
-    w.write_text(json.dumps({"kind": "window", "lo": "0", "hi": "8"}))
+    w.write_text(json.dumps({"kind": "window", "lo": "0", "hi": "8"}),
+                 encoding="utf-8")
 
     runs = []
     for _ in range(2):

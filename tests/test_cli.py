@@ -416,6 +416,52 @@ def test_huge_exponent_exits_2_at_its_field(tmp_path, capsys, sign, field):
     assert captured.out == ""
 
 
+@pytest.fixture
+def digit_limit_4300():
+    """Python's default limit on the digits of a printed int, for this test."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python prints ints of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+TOO_LONG = "exact value of more than 4300 digits, too long to print\n"
+
+
+def test_dist_h_too_long_to_print_exits_2_naming_the_result(tmp_path, capsys,
+                                                            digit_limit_4300):
+    # "1e4300" parses (its exponent is within bounds), but has 4,301 digits
+    a = write(tmp_path / "a.json", {"kind": "points", "coords": ["0", "1e4300"]})
+    b = write(tmp_path / "b.json", {"kind": "points", "coords": ["0"]})
+    assert main(["dist-h", a, b]) == 2
+    assert capsys.readouterr() == ("", f"error: dist-h result: {TOO_LONG}")
+
+
+def test_contract_too_long_to_print_exits_2_naming_the_interval_end(
+        spaces, tmp_path, capsys, digit_limit_4300):
+    w = write(tmp_path / "w.json", {"kind": "window", "lo": "0", "hi": "1e4300"})
+    out = tmp_path / "out.json"
+    assert main(["contract", spaces["x"], "--lam", "1", "--window", w,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: contract output.intervals[0][1]: {TOO_LONG}")
+    assert not out.exists()
+
+
+def test_trace_too_long_to_print_exits_2_naming_the_column(spaces, tmp_path, capsys,
+                                                           digit_limit_4300):
+    w = write(tmp_path / "w.json", {"kind": "window", "lo": "0", "hi": "1e4300"})
+    assert main(["trace", spaces["a"], "--window", w, "--grid", "0,1"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: trace row 1, column d_H_to_window: {TOO_LONG}")
+    # a parameter too long to print is named at its own row and column
+    assert main(["trace", spaces["x"], "--window", spaces["w"],
+                 "--grid", "0,1e-4300"]) == 2
+    assert capsys.readouterr() == ("", f"error: trace row 2, column lam: {TOO_LONG}")
+
+
 @pytest.mark.parametrize("coords, flags, field, message", [
     (["0", "3"], ["--lam", "2"], "--lam", "lam must lie in [0, 1]"),
     (["0", "3"], ["--grid", "0,3/2"], "--grid", "lam must lie in [0, 1]"),

@@ -201,7 +201,7 @@ def test_module_entry_point_exits_with_the_status_of_main(tmp_path):
     def netline_cli(*argv: str) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, "-m", "netline.cli", *argv],
                               cwd=tmp_path, env=env, capture_output=True,
-                              text=True, timeout=120)
+                              text=True, encoding="utf-8", timeout=120)
 
     done = netline_cli("verify", "all", "--seed", "0", "--cases", "2")
     assert done.returncode == 0, done.stderr

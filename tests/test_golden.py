@@ -122,6 +122,8 @@ CASES = [
     ("contract-coprime", ["contract", "pp.json", "--lam", "3/5", "--window",
                           "wf.json"], None),
     ("verify-all", ["verify", "all", "--seed", "3", "--cases", "40"], None),
+    # enough cases to pin lambda-hits' hit count and its five examples
+    ("verify-all-400", ["verify", "all", "--seed", "1", "--cases", "400"], None),
     ("experiment-geometric", ["experiment", "geometric"], None),
     ("experiment-homothety", ["experiment", "homothety", "--sizes", "2,3,4,5"],
      None),

@@ -377,6 +377,60 @@ def test_order_lemmas_draws_match_fraction_reference(seed):
     assert ours.random() == ref.random()
 
 
+def reference_construction_bounds_draw(rng):
+    """`_draw_construction_bounds` as it drew with randint, choice and
+    Fraction points, frozen as the reference: (segment, extension)."""
+    def scalar(hi):
+        q = rng.randint(1, 8)
+        return F(rng.randint(0, math.floor(hi * q)), q)
+
+    n = rng.randint(2, 3)
+    spacing = F(rng.randint(2, 3), 4)
+    jitter_den = rng.randint(1, 3)
+    x = PointSet(tuple(
+        k * spacing + F(rng.randrange(-jitter_den, jitter_den + 1), 16 * jitter_den)
+        * spacing for k in range(n)))
+    r1, r2 = scalar(F(3, 4)), scalar(F(3, 4))
+    if rng.random() < 0.2:
+        r1 = F(0)
+    segment = {"x": x, "r1": r1, "r2": r2, "step": F(1, rng.choice((3, 4, 5)))}
+    lam = F(rng.randint(2, 4), rng.randint(6, 8))
+    if rng.random() < 0.3:  # a grid with one very close extra point
+        n = rng.randint(3, 4)
+        spacing = F(rng.randint(2, 3), 4)
+        tiny = lam / rng.randint(40, 64)
+        pts = [k * spacing for k in range(n)]
+        k = rng.randint(0, n - 2)
+        pts.insert(k + 1, pts[k] + tiny)
+        extension = {"x": PointSet(tuple(pts)), "k": k}
+    else:  # a grid and its perturbation
+        n = rng.randint(3, 4)
+        spacing = F(rng.randint(2, 4), 4)
+        x = PointSet(tuple(k * spacing for k in range(n)))
+        delta = lam / 64
+        xn = PointSet(tuple(p + F(rng.randint(-16, 16), 16) * delta for p in x.points))
+        extension = {"x": x, "xn": xn}
+    extension.update(lam=lam, step=F(1, rng.choice((3, 4))))
+    return segment, extension
+
+
+@pytest.mark.parametrize("seed", [0, 3, 104729])
+def test_construction_bounds_draws_match_fraction_reference(seed):
+    ours, ref = random.Random(seed), random.Random(seed)
+    cfg = GeneratorConfig(seed=seed)
+    kinds = Counter()
+    for index in range(300):
+        (_, segment), (_, extension) = harness._draw_construction_bounds(ours, cfg, index)
+        want_segment, want_extension = reference_construction_bounds_draw(ref)
+        assert segment == want_segment and extension == want_extension
+        for key in ("x", "xn"):
+            if key in extension:
+                assert extension[key].points == want_extension[key].points
+        kinds["swap" if "k" in extension else "perturbed"] += 1
+    assert ours.getstate() == ref.getstate()
+    assert min(kinds.values()) > 50, kinds
+
+
 def reference_random_metric_space(rng, cfg, max_points=4):
     """`random_metric_space` as it drew band matrices in Fractions, frozen."""
     n = rng.randrange(1, max_points + 1)
