@@ -5,7 +5,9 @@ run is a pure function of its command line: outputs are byte-identical on
 reruns.  Exit status 3 flags an internal defect (a result that breaks an
 invariant the library guarantees), 2 input/parse errors (with the offending
 location), 1 a theorem-suite failure, 0 everything else; a solver that ran
-out of budget still exits 0 with the output flagged bounds-only.
+out of budget still exits 0 with the output flagged bounds-only.  Every
+command renders its whole output before it writes a byte (`_answer`), so a
+refusal leaves no partial answer and no file behind.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import argparse
 import contextlib
 import functools
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 
 from . import harness
+from .correspondence import FiniteMetricSpace
 from .errors import InvariantError
 from .formats import (
     FormatError,
@@ -30,11 +34,11 @@ from .formats import (
     parse_metric_space,
     parse_scalar,
 )
-from .geometry import IntervalUnion, PointSet, Window, hausdorff, scalar_str
+from .geometry import PointSet, Window, hausdorff, scalar_str
 from .harness import SUITES
 from .homotopy import contract, f_map, trace_csv
 from .homotopy import trace as run_trace
-from .solver import EXHAUSTIVE_LIMIT, gh_branch_bound, gh_exact
+from .solver import EXHAUSTIVE_LIMIT, GHResult, gh_branch_bound, gh_exact
 
 
 def _read(path: str) -> str:
@@ -54,12 +58,6 @@ def _load_metric(path: str):
     return parse_metric_space(loads_doc(_read(path), path), location=path)
 
 
-def _as_hausdorff_operand(obj: SpaceObject):
-    if isinstance(obj, Window):
-        return obj.span()
-    return obj
-
-
 def _points_in_window(args: argparse.Namespace) -> tuple[PointSet, Window]:
     x = _load_space(args.x)
     if not isinstance(x, PointSet):
@@ -70,51 +68,58 @@ def _points_in_window(args: argparse.Namespace) -> tuple[PointSet, Window]:
     return x, w
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as f:
-            f.write(text)
-
-
-class _printing:
-    """Name the first of the output ``fields``, (name, value) pairs read only
-    on failure, that has no str: Python prints no int of more than
-    sys.get_int_max_str_digits() digits.  A class, not a generator, because
-    it wraps every dist-h answer."""
-
-    def __init__(self, fields: Iterable[tuple[str, object]]) -> None:
-        self.fields = fields
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind, exc, tb) -> None:
-        if kind is None or not issubclass(kind, ValueError):
-            return
-        for name, value in self.fields:
-            try:
-                str(value)
-            except ValueError:
-                raise FormatError(name, (
-                    f"exact value of more than {sys.get_int_max_str_digits()} "
-                    "digits, too long to print")) from None
+def _answer(status: int, *outputs: tuple) -> int:
+    """Write each output, (path, or None for stdout; render; fields), in order
+    once every one has rendered, and return ``status``.  A render that fails
+    with a ValueError names the first of its fields, (name, value) pairs read
+    only then, that has no str: Python prints no int of more than
+    sys.get_int_max_str_digits() digits.  Any other failure, an
+    InvariantError among them, is re-raised unchanged."""
+    texts = []
+    for _, render, fields in outputs:
+        try:
+            texts.append(render())
+        except ValueError:
+            for name, value in fields:
+                try:
+                    str(value)
+                except ValueError:
+                    raise FormatError(name, (
+                        f"exact value of more than {sys.get_int_max_str_digits()} "
+                        "digits, too long to print")) from None
+            raise
+    for (path, _, _), text in zip(outputs, texts):
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text)
+    return status
 
 
 def cmd_dist_h(args: argparse.Namespace) -> int:
-    a = _as_hausdorff_operand(_load_space(args.a))
-    b = _as_hausdorff_operand(_load_space(args.b))
+    a, b = (obj.span() if isinstance(obj, Window) else obj
+            for obj in map(_load_space, (args.a, args.b)))
     d = hausdorff(a, b)
-    with _printing([("dist-h result", d)]):
-        text = scalar_str(d) + "\n"
-    sys.stdout.write(text)
-    return 0
+    return _answer(0, (None, lambda: scalar_str(d) + "\n", (("dist-h result", d),)))
 
 
 def _nonnegative(value: int | None, flag: str) -> None:
     if value is not None and value < 0:
         raise FormatError(flag, "expected a nonnegative number")
+
+
+def _certificate_fields(path: str, result: GHResult, x: FiniteMetricSpace,
+                        y: FiniteMetricSpace) -> Iterator[tuple[str, object]]:
+    """The scalars of the certificate at ``path``, in `gh_certificate_doc`'s order."""
+    yield from ((f"{path}: {name}", v) for name, v in (
+        ("lower", result.lower), ("upper", result.upper), ("exact", result.exact)))
+    for name, space in (("x", x), ("y", y)):
+        m, n = space.metric, space.n
+        yield from ((f"{path}: {name}.coords[{k}]" if m is space.line_coords else
+                     f"{path}: {name}.dist[{k // n}][{k % n}]", Fraction(v, m.den))
+                    for k, v in enumerate(m.ints))
+    yield f"{path}: distortion", 2 * result.upper
 
 
 def cmd_dist_gh(args: argparse.Namespace) -> int:
@@ -128,21 +133,22 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
         result = gh_exact(x, y, limit=args.limit)
     else:
         result = gh_branch_bound(x, y, budget=args.budget)
+
+    def report() -> str:
+        pairs = " ".join(f"({i},{j})" for i, j in result.upper_witness.pairs)
+        cert = "" if args.certificate is None else f"certificate: {args.certificate}\n"
+        return ("status: bounds-only (budget exhausted)\n" if result.exact is None
+                else f"status: exact\nd_gh: {scalar_str(result.exact)}\n") + (
+            f"lower: {scalar_str(result.lower)}\nupper: {scalar_str(result.upper)}\n"
+            f"correspondence: {pairs}\nnodes: {result.nodes_explored}\n{cert}")
+
+    outputs = [(None, report, (("dist-gh d_gh", result.exact), ("dist-gh lower", result.lower),
+                               ("dist-gh upper", result.upper)))]
     if args.certificate is not None:  # written first: a failed write prints no answer
-        _write_or_print(dumps_doc(gh_certificate_doc(result, x, y)), args.certificate)
-    if result.exact is not None:
-        sys.stdout.write("status: exact\n")
-        sys.stdout.write(f"d_gh: {scalar_str(result.exact)}\n")
-    else:
-        sys.stdout.write("status: bounds-only (budget exhausted)\n")
-    sys.stdout.write(f"lower: {scalar_str(result.lower)}\n")
-    sys.stdout.write(f"upper: {scalar_str(result.upper)}\n")
-    pairs = " ".join(f"({i},{j})" for i, j in result.upper_witness.pairs)
-    sys.stdout.write(f"correspondence: {pairs}\n")
-    sys.stdout.write(f"nodes: {result.nodes_explored}\n")
-    if args.certificate is not None:
-        sys.stdout.write(f"certificate: {args.certificate}\n")
-    return 0
+        outputs.insert(0, (args.certificate,
+                           lambda: dumps_doc(gh_certificate_doc(result, x, y)),
+                           _certificate_fields(args.certificate, result, x, y)))
+    return _answer(0, *outputs)
 
 
 @contextlib.contextmanager
@@ -162,11 +168,9 @@ def cmd_contract(args: argparse.Namespace) -> int:
     lam = parse_scalar(args.lam, "--lam")
     with _naming("--lam", args.x):
         result = contract(x, lam, w)
-    with _printing((f"contract output.intervals[{k // 2}][{k % 2}]",
-                    Fraction(v, result.den)) for k, v in enumerate(result.ints)):
-        text = dumps_doc(format_space(result))
-    _write_or_print(text, args.out)
-    return 0
+    return _answer(0, (args.out, lambda: dumps_doc(format_space(result)), (
+        (f"contract output.intervals[{k // 2}][{k % 2}]", Fraction(v, result.den))
+        for k, v in enumerate(result.ints))))
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -175,14 +179,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     with _naming("--grid", args.x):
         tr = run_trace(x, w, grid)
     columns = ("lam", "f_lam", "d_H_to_window", "step_d_H", "certified_bound")
-    with _printing((f"trace row {k}, column {name}", v)
-                   for k, row in enumerate(tr.rows, 1)
-                   for name, v in zip(columns, (row.lam, f_map(row.lam),
-                                                row.d_to_window, row.step_d,
-                                                row.certified_bound))):
-        text = trace_csv(tr)
-    _write_or_print(text, args.out)
-    return 0
+    return _answer(0, (args.out, lambda: trace_csv(tr), (
+        (f"trace row {k}, column {name}", v)
+        for k, row in enumerate(tr.rows, 1)
+        for name, v in zip(columns, (row.lam, f_map(row.lam), row.d_to_window,
+                                     row.step_d, row.certified_bound)))))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -198,8 +199,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         chunks.append(report.render())
         if theorem_backed and not report.passed:
             status = 1
-    _write_or_print("\n".join(chunks), args.out)
-    return status
+    # the drawn values are bounded, so every one prints
+    return _answer(status, (args.out, lambda: "\n".join(chunks), ()))
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -219,8 +220,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         table = harness.geometric_progression_experiment(
             args.k, factor, budget=args.budget
         )
-    _write_or_print(table.render(), args.out)
-    return 0
+    columns = ("2dGH_lower", "2dGH_upper", "2dGH_exact")
+    return _answer(0, (args.out, table.render, chain(
+        ((f"experiment param {name}", v) for name, v in table.params),
+        ((f"experiment row {k}, column {name}", v)
+         for k, row in enumerate(table.rows, 1)
+         for name, v in zip(columns, (row.lower_double, row.upper_double,
+                                      row.exact_double))))))
 
 
 def comma_separated_ints(text: str) -> list[int]:

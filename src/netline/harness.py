@@ -693,12 +693,12 @@ class ExperimentRow:
 @dataclass(frozen=True)
 class ExperimentTable:
     name: str
-    params: tuple[tuple[str, str], ...]
+    params: tuple[tuple[str, Fraction | int], ...]  # exact, formatted by render
     rows: tuple[ExperimentRow, ...]
 
     def render(self) -> str:
         lines = [f"experiment: {self.name}"]
-        lines.extend(f"param: {k} = {v}" for k, v in self.params)
+        lines.extend(f"param: {k} = {v!s}" for k, v in self.params)
         lines.append("label, 2dGH_lower, 2dGH_upper, 2dGH_exact, nodes")
         for r in self.rows:
             exact = scalar_str(r.exact_double) if r.exact_double is not None else "-"
@@ -734,16 +734,11 @@ def homothety_experiment(
     for n_max in sizes:
         if n_max < 1:
             raise ValueError("sizes must be positive")
-        x = FiniteMetricSpace.from_line(PointSet.of(range(n_max + 1)))
-        y = FiniteMetricSpace.from_line(
-            PointSet(tuple(k * factor for k in range(n_max + 1)))
-        )
+        grid = PointSet.of(range(n_max + 1))
+        x = FiniteMetricSpace.from_line(grid)
+        y = FiniteMetricSpace.from_line(grid.scale(factor))
         rows.append(_result_row(f"N={n_max}", gh_branch_bound(x, y, budget=budget)))
-    return ExperimentTable(
-        "homothety",
-        (("lam", scalar_str(factor)), ("budget", str(budget))),
-        tuple(rows),
-    )
+    return ExperimentTable("homothety", (("lam", factor), ("budget", budget)), tuple(rows))
 
 
 def geometric_progression_experiment(
@@ -759,16 +754,13 @@ def geometric_progression_experiment(
         raise ValueError("factor must be positive")
     rows = []
     for k in range(1, k_max + 1):
-        coords = [Fraction(3) ** i for i in range(1, k + 1)]
-        x = FiniteMetricSpace.from_line(PointSet(tuple(coords)))
-        y = FiniteMetricSpace.from_line(PointSet(tuple(c * f for c in coords)))
+        powers = PointSet.of(3 ** i for i in range(1, k + 1))
+        x = FiniteMetricSpace.from_line(powers)
+        y = FiniteMetricSpace.from_line(powers.scale(f))
         if x.n * y.n <= EXHAUSTIVE_LIMIT:
             res = gh_exact(x, y)
         else:
             res = gh_branch_bound(x, y, budget=budget)
         rows.append(_result_row(f"k={k}", res))
-    return ExperimentTable(
-        "geometric-progression",
-        (("factor", scalar_str(f)), ("budget", str(budget))),
-        tuple(rows),
-    )
+    return ExperimentTable("geometric-progression", (("factor", f), ("budget", budget)),
+                           tuple(rows))

@@ -462,6 +462,69 @@ def test_trace_too_long_to_print_exits_2_naming_the_column(spaces, tmp_path, cap
     assert capsys.readouterr() == ("", f"error: trace row 2, column lam: {TOO_LONG}")
 
 
+def test_dist_gh_too_long_to_print_exits_2_before_its_first_line(tmp_path, capsys,
+                                                                 digit_limit_4300):
+    # d_gh = 10**4300: nothing is printed, and no certificate is written
+    x = write(tmp_path / "x.json", {"kind": "points", "coords": ["0", "2e4300"]})
+    y = write(tmp_path / "y.json", {"kind": "points", "coords": ["0"]})
+    assert main(["dist-gh", x, y]) == 2
+    assert capsys.readouterr() == ("", f"error: dist-gh d_gh: {TOO_LONG}")
+    cert = tmp_path / "cert.json"
+    assert main(["dist-gh", x, y, "--certificate", str(cert)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cert}: lower: {TOO_LONG}")
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("kind, field", [
+    ("points", "x.coords[0]"), ("matrix", "x.dist[0][1]"),
+])
+def test_a_certificate_input_too_long_to_print_is_named_at_its_path(
+        kind, field, tmp_path, capsys, digit_limit_4300):
+    # d_gh = 0 prints, but the certificate restates an input of 4,301 digits
+    doc = ({"kind": "points", "coords": ["2e4300"]} if kind == "points"
+           else {"kind": "matrix", "dist": [["0", "2e4300"], ["2e4300", "0"]]})
+    x = write(tmp_path / "x.json", doc)
+    y = write(tmp_path / "y.json", doc if kind == "matrix" else {"kind": "points",
+                                                                 "coords": ["0"]})
+    cert = tmp_path / "cert.json"
+    assert main(["dist-gh", x, y, "--certificate", str(cert)]) == 2
+    assert capsys.readouterr() == ("", f"error: {cert}: {field}: {TOO_LONG}")
+    assert not cert.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["homothety", "--lam", "1e4300", "--sizes", "1"], "param lam"),
+    (["geometric", "--factor", "1e4300", "--k", "2"], "param factor"),
+    # 3e4299 prints, but 2 d_GH = 10 (3e4299 - 1) has 4,301 digits
+    (["homothety", "--lam", "3e4299", "--sizes", "10"], "row 1, column 2dGH_lower"),
+], ids=["lam", "factor", "row"])
+def test_experiment_too_long_to_print_exits_2_naming_the_field(argv, field, tmp_path,
+                                                              capsys, digit_limit_4300):
+    out = tmp_path / "table.txt"
+    assert main(["experiment", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: experiment {field}: {TOO_LONG}")
+    assert main(["experiment", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target, command", [
+    ("contract", "contract"), ("run_trace", "trace"), ("trace_csv", "trace"),
+], ids=["contract", "trace", "trace-render"])
+def test_an_internal_error_exits_3(target, command, spaces, monkeypatch, capsys):
+    # a defect inside a deformation is not a parameter error (`_naming` lets
+    # it through), and one inside a render is not a field too long to print
+    from netline import cli
+    from netline.errors import InvariantError
+
+    def broken(*args):
+        raise InvariantError("broken invariant")
+
+    monkeypatch.setattr(cli, target, broken)
+    flags = (["--lam", "1/2"] if command == "contract" else ["--grid", "0,1"])
+    assert main([command, spaces["x"], "--window", spaces["w"], *flags]) == 3
+    assert capsys.readouterr() == ("", "internal error: broken invariant\n")
+
+
 @pytest.mark.parametrize("coords, flags, field, message", [
     (["0", "3"], ["--lam", "2"], "--lam", "lam must lie in [0, 1]"),
     (["0", "3"], ["--grid", "0,3/2"], "--grid", "lam must lie in [0, 1]"),

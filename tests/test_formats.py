@@ -179,6 +179,18 @@ def test_forged_gh_certificate_is_refused():
     assert not verify_gh_certificate(dict(forged, status="bounds-only", exact=None))
 
 
+def test_forged_bounds_above_the_exhaustive_limit_are_refused():
+    # 6 x 5 = 30 cells: nothing re-solves the pair, so only the order of the
+    # bounds catches a lower bound above the honestly witnessed upper one
+    x = FiniteMetricSpace.from_line(PointSet.of(range(6)))
+    y = FiniteMetricSpace.from_line(PointSet.of([0, 2, 3, 7, 9]))
+    doc = gh_certificate_doc(gh_branch_bound(x, y), x, y)
+    assert verify_gh_certificate(doc)
+    upper = parse_scalar(doc["upper"])
+    forged = dict(doc, status="bounds-only", exact=None, lower=str(upper + 1))
+    assert not verify_gh_certificate(forged)
+
+
 def test_golden_gh_certificates_verify():
     golden = Path(__file__).parent / "golden"
     certs = sorted(golden.glob("*.cert.json"))

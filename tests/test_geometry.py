@@ -418,6 +418,16 @@ def test_order_checks_match_fraction_comparisons():
             assert _outcome(IntervalUnion, spans) == want
 
 
+def test_scale_multiplies_every_point():
+    rng = random.Random(5)
+    for _ in range(50):
+        points = PointSet.of(random_scalar(rng, F(-9), F(9), 8)
+                             for _ in range(rng.randint(1, 6)))
+        for factor in (F(1), F(3, 7), F(22, 3), 4, "5/2"):
+            want = PointSet.of(p * as_scalar(factor) for p in points)
+            assert points.scale(factor) == want
+
+
 def test_inexact_scalars_and_nonpositive_scales_are_refused():
     with pytest.raises(TypeError) as exc:
         as_scalar(True)

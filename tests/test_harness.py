@@ -18,6 +18,8 @@ from netline import (
     PointSet,
     Window,
     geometric_progression_experiment,
+    gh_branch_bound,
+    gh_exact,
     homothety_experiment,
     lambda_bound_counterexample_search,
     verify_bounded_cloud,
@@ -283,6 +285,26 @@ def test_geometric_progression_examples():
     assert rows[1].exact_double == 6  # {3,9} vs {6,18}
     lows = [r.lower_double for r in rows[1:]]
     assert all(a < b for a, b in zip(lows, lows[1:]))
+
+
+def test_geometric_progression_searches_above_the_exhaustive_limit(monkeypatch):
+    # k = 6 is a 6 x 6 pair, 36 cells: its row comes from branch and bound
+    searched = []
+
+    def counted(x, y, budget):
+        searched.append((x.n, y.n, budget))
+        return gh_branch_bound(x, y, budget=budget)
+
+    monkeypatch.setattr(harness, "gh_branch_bound", counted)
+    table = geometric_progression_experiment(6, 2)
+    assert searched == [(6, 6, 200_000)]
+    x = FiniteMetricSpace.from_line(PointSet.of(3 ** i for i in range(1, 7)))
+    y = FiniteMetricSpace.from_line(PointSet.of(2 * 3 ** i for i in range(1, 7)))
+    exact = 2 * gh_exact(x, y, limit=36).exact
+    row = table.rows[5]
+    assert (row.label, row.lower_double, row.upper_double, row.exact_double) == (
+        "k=6", exact, exact, exact)
+    assert table.params == (("factor", 2), ("budget", 200_000))
 
 
 def test_experiment_render_is_deterministic():
