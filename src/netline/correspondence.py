@@ -244,9 +244,9 @@ def distortion(
     Pairs are scanned in sorted order (see int_distortion for the witness),
     those of two line spaces on their coordinates (see _line_distortion).
     """
-    pairs = sigma.pairs
+    pairs, nx, ny = sigma.pairs, x.n, y.n
     for i, j in pairs:
-        if i >= x.n or j >= y.n:
+        if i >= nx or j >= ny:
             raise ValueError(f"pair ({i}, {j}) out of range for the spaces")
     mx, my = x.metric, y.metric
     if isinstance(mx, PointSet) and isinstance(my, PointSet):

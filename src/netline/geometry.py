@@ -273,11 +273,16 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     Two point sets are swept as points: a target gap's midpoint lies in a
     point set only at one of its points, which the merge has scored.
     """
+    return Fraction(*_hausdorff(a, b))
+
+
+def _hausdorff(a: SetOnLine, b: SetOnLine) -> tuple[int, int]:
+    """`hausdorff` as (value, scale) ints: the distance is value / scale."""
     if isinstance(a, PointSet) and isinstance(b, PointSet):
         scale, (sa, sb) = _scaled((a.ints, a.den), (b.ints, b.den))
-        return Fraction(max(_point_sup(sa, sb), _point_sup(sb, sa)), scale)
+        return max(_point_sup(sa, sb), _point_sup(sb, sa)), scale
     scale, (sa, sb) = _scaled(_spans(a), _spans(b))
-    return Fraction(_symmetric_sup(sa, sb), scale)
+    return _symmetric_sup(sa, sb), scale
 
 
 def _scale(*dens: int) -> int:
@@ -397,12 +402,17 @@ def thicken(s: SetOnLine, r: ScalarLike) -> IntervalUnion:
 
 def covering_radius(a: PointSet, w: Window) -> Fraction:
     """d_H(A, window): the larger end gap, or half the largest gap of the points."""
+    return Fraction(*_covering(a, w))
+
+
+def _covering(a: PointSet, w: Window) -> tuple[int, int]:
+    """`covering_radius` as (value, scale) ints: the radius is value / scale."""
     if not w.contains(a):
         raise ValueError("point set must lie inside the window")
     scale, ints, (lo, hi) = _scale(a.den, w.den), a.ints, w.ints
     f, g = scale // a.den, scale // w.den
     gap = max(map(sub, ints[1:], ints), default=0) * f
-    return Fraction(max(ints[0] * f - lo * g, hi * g - ints[-1] * f, gap // 2), scale)
+    return max(ints[0] * f - lo * g, hi * g - ints[-1] * f, gap // 2), scale
 
 
 def is_eps_net(a: PointSet, w: Window, eps: ScalarLike) -> bool:

@@ -10,8 +10,9 @@ Every suite is one row of ``SUITES`` and runs through one runner.  The
 row's ``draw(rng, cfg, index)`` returns case ``index``'s ``(check,
 instance)`` items, taking every random choice from the suite's seeded
 ``random.Random``, so a configuration reproduces its report byte for byte.
-Point sets are drawn as int ratios and built by ``PointSet.from_ints``;
-their ``Fraction`` points are built only for printed values.
+Point sets are drawn as ints over lcm(1..``DENOMINATOR_BOUND``) and built
+by ``PointSet.from_ints``; the hot checks compare the int kernels' scaled
+values, and ``Fraction``s are built only for printed values.
 ``check(tally, **instance)`` returns a failure detail or ``None`` and may
 count into the suite's ``Tally``, which the row's ``records`` renders.  A
 failing instance is shrunk by greedy point removal (``shrink_instance``)
@@ -25,7 +26,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Callable, Sequence
 
 from .constructions import extend_correspondence, segment_correspondence
@@ -37,16 +38,17 @@ from .geometry import (
     PointSet,
     ScalarLike,
     Window,
+    _covering,
     _form,
+    _hausdorff,
     _Ints,
-    _over_lcm,
     _scaled,
     as_scalar,
     covering_radius,
     hausdorff,
     scalar_str,
 )
-from .homotopy import continuity_in_lambda, stability_in_space
+from .homotopy import _continuity, _stability
 from .ordering import check_order_preservation, order_violation_bound
 from .solver import (
     EXHAUSTIVE_LIMIT,
@@ -59,6 +61,7 @@ from .solver import (
 MIN_POINTS = 1
 MAX_POINTS = 6
 DENOMINATOR_BOUND = 64
+_DRAW_DEN = lcm(*range(1, DENOMINATOR_BOUND + 1))  # every drawn p/q is an int over it
 
 
 @dataclass(frozen=True)
@@ -177,17 +180,16 @@ def random_point_set(
     max_points: int = MAX_POINTS,
 ) -> PointSet:
     k = min_points + _below(rng, max_points - min_points + 1)
-    bounds = cfg.window.ints, cfg.window.den
-    # reduced (numerator, denominator) pairs: no Fraction per draw
-    accepted: set[tuple[int, int]] = set()
+    (lo, hi), den = cfg.window.ints, cfg.window.den
+    # `_random_ratio`'s draws, each p/q kept as p·(L/q) over L = _DRAW_DEN
+    accepted: set[int] = set()
     attempts = 0
     while len(accepted) < k and attempts < 64 * k:
         attempts += 1
-        p, q = _random_ratio(rng, bounds, DENOMINATOR_BOUND)
-        g = gcd(p, q)
-        accepted.add((p // g, q // g))
-    ints, den = _over_lcm(list(accepted))
-    return PointSet.from_ints(sorted(ints), den)
+        q = 1 + _below(rng, DENOMINATOR_BOUND)
+        first = -(-lo * q // den)
+        accepted.add((first + _below(rng, hi * q // den - first + 1)) * (_DRAW_DEN // q))
+    return PointSet.from_ints(sorted(accepted), _DRAW_DEN)
 
 
 def random_metric_space(
@@ -308,9 +310,10 @@ def _draw_ultrametric_h(rng, cfg, index):
 
 
 def _check_ultrametric_h(tally, a, b, window):
-    dh = hausdorff(a, b)
-    if dh > max(covering_radius(a, window), covering_radius(b, window)):
-        return f"d_H = {dh} exceeds both covering radii"
+    dh, s = _hausdorff(a, b)
+    (ra, sa), (rb, sb) = _covering(a, window), _covering(b, window)
+    if dh * sa > ra * s and dh * sb > rb * s:
+        return f"d_H = {Fraction(dh, s)} exceeds both covering radii"
     return None
 
 
@@ -397,9 +400,9 @@ def _draw_continuity(rng, cfg, index):
 
 
 def _check_continuity(tally, x, lam1, lam2, window):
-    d, bound = continuity_in_lambda(x, lam1, lam2, window)
-    if d > bound:
-        return f"step {d} exceeds certificate {bound}"
+    step, bound, scale = _continuity(x, lam1, lam2, window)
+    if step > bound:
+        return f"step {Fraction(step, scale)} exceeds certificate {Fraction(bound, scale)}"
     return None
 
 
@@ -412,9 +415,10 @@ def _draw_stability(rng, cfg, index):
 
 
 def _check_stability(tally, x, xn, lam, window):
-    d, bound = stability_in_space(x, xn, lam, window)
+    d, bound, scale = _stability(x, xn, lam, window)
     if d > bound:
-        return f"deformed distance {d} exceeds input distance {bound}"
+        return (f"deformed distance {Fraction(d, scale)} exceeds input distance "
+                f"{Fraction(bound, scale)}")
     return None
 
 
@@ -606,19 +610,19 @@ def _draw_lambda_hits(rng, cfg, index):
 
 
 def _check_lambda_hits(tally, x, lam1, lam2, window):
-    d, cert = continuity_in_lambda(x, lam1, lam2, window)
-    naive = abs(lam1 - lam2)
-    if d > naive:
+    step, cert, scale = _continuity(x, lam1, lam2, window)
+    (n1, d1), (n2, d2) = lam1.as_integer_ratio(), lam2.as_integer_ratio()
+    if step * d1 * d2 > scale * abs(n1 * d2 - n2 * d1):  # step > |lam1 - lam2|
         tally["hits"] += 1
         if len(tally.examples) < 5:
             tally.examples.append(
-                f"hit[{tally.case}]: step {scalar_str(d)} > |lam1-lam2| = "
-                f"{scalar_str(naive)} "
+                f"hit[{tally.case}]: step {scalar_str(Fraction(step, scale))} > "
+                f"|lam1-lam2| = {scalar_str(abs(lam1 - lam2))} "
                 f"(lam1={scalar_str(lam1)}, lam2={scalar_str(lam2)})"
             )
-    if d > cert:
+    if step > cert:
         tally["violations"] += 1
-        return f"certificate {cert} violated by step {d}"
+        return f"certificate {Fraction(cert, scale)} violated by step {Fraction(step, scale)}"
     return None
 
 

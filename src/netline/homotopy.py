@@ -92,11 +92,19 @@ def continuity_in_lambda(
     the radius, exactly, and clipping to a window shared by both sides never
     increases the distance.
     """
+    step, bound, scale = _continuity(x, lam1, lam2, w)
+    return Fraction(step, scale), Fraction(bound, scale)
+
+
+def _continuity(
+    x: PointSet, lam1: ScalarLike, lam2: ScalarLike, w: Window
+) -> tuple[int, int, int]:
+    """`continuity_in_lambda` as (step, bound, scale) ints over one scale."""
     v1, v2 = as_scalar(lam1), as_scalar(lam2)
     if not (0 <= v1.numerator < v1.denominator and 0 <= v2.numerator < v2.denominator):
         raise ValueError("both parameters must lie in [0, 1)")
     scale, _, (r1, r2), _, [[a, b]] = _deformations([x], [v1, v2], w)
-    return Fraction(_symmetric_sup(a, b), scale), Fraction(abs(r1 - r2), scale)
+    return _symmetric_sup(a, b), abs(r1 - r2), scale
 
 
 def stability_in_space(
@@ -107,12 +115,19 @@ def stability_in_space(
     Thickening two sets by the same radius never spreads them further apart
     than they started, and window clipping preserves that, exactly.
     """
+    deformed, inputs, scale = _stability(x, xn, lam, w)
+    return Fraction(deformed, scale), Fraction(inputs, scale)
+
+
+def _stability(
+    x: PointSet, xn: PointSet, lam: ScalarLike, w: Window
+) -> tuple[int, int, int]:
+    """`stability_in_space` as (deformed, input, scale) ints over one scale."""
     v = as_scalar(lam)
     if not 0 <= v.numerator < v.denominator:
         raise ValueError("lam must lie in [0, 1)")
     scale, _, _, (p, pn), [[a], [an]] = _deformations([x, xn], [v], w)
-    return (Fraction(_symmetric_sup(a, an), scale),
-            Fraction(max(_point_sup(p, pn), _point_sup(pn, p)), scale))
+    return _symmetric_sup(a, an), max(_point_sup(p, pn), _point_sup(pn, p)), scale
 
 
 @dataclass(frozen=True)

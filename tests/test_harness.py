@@ -128,11 +128,10 @@ def test_shrinker_skips_rejected_candidates_and_keeps_invariant_errors():
         shrink_instance(breaks, {"a": a}, "boom")
 
 
-def _scaled(fn, first=1, second=1):
-    """``fn`` with its two results multiplied by ``first`` and ``second``."""
+def _scaled(fn, *factors):
+    """``fn`` with each of its int results multiplied by its factor."""
     def faulty(*args):
-        d, bound = fn(*args)
-        return d * first, bound * second
+        return tuple(v * f for v, f in zip(fn(*args), factors))
     return faulty
 
 
@@ -151,16 +150,18 @@ def _loose_extension(fn):
 
 # suite: (harness dependency, fault, the suite's checks)
 FAULTS = {
-    "ultrametric-h": ("covering_radius", lambda fn: lambda a, w: fn(a, w) / 2,
+    # the int kernels' faults keep the value of the Fraction faults they
+    # replace: (v, 2·s) halves a radius, (2·d, b, 2·s) halves a bound
+    "ultrametric-h": ("_covering", lambda fn: _scaled(fn, 1, 2),
                       [harness._check_ultrametric_h]),
     "ultrametric-gh": ("hausdorff", lambda fn: lambda a, b: F(0),
                        [harness._check_ultrametric_gh]),
     "bounded-cloud": ("diam", lambda fn: lambda x: fn(x) / 4,
                       [harness._check_bounded_cloud]),
     "gh-bounds": ("staircase_bound", _shifted_staircase, [harness._check_gh_bounds]),
-    "continuity": ("continuity_in_lambda", lambda fn: _scaled(fn, second=F(1, 2)),
+    "continuity": ("_continuity", lambda fn: _scaled(fn, 2, 1, 2),
                    [harness._check_continuity]),
-    "stability": ("stability_in_space", lambda fn: _scaled(fn, first=2),
+    "stability": ("_stability", lambda fn: _scaled(fn, 2, 1, 1),
                   [harness._check_stability]),
     "order-lemmas": ("order_violation_bound",
                      lambda fn: lambda r, x, y: replace(fn(r, x, y), status="fail"),
@@ -168,8 +169,8 @@ FAULTS = {
                       harness._check_inverted_gap]),
     "construction-bounds": ("extend_correspondence", _loose_extension,
                             [harness._check_segment, harness._check_extension]),
-    "lambda-hits": ("continuity_in_lambda",
-                    lambda fn: lambda x, l1, l2, w: (F(2), F(1)),
+    "lambda-hits": ("_continuity",
+                    lambda fn: lambda x, l1, l2, w: (2, 1, 1),
                     [harness._check_lambda_hits]),
 }
 
@@ -255,10 +256,79 @@ def test_lambda_search_records_hits_not_failures():
 
 def test_lambda_search_counts_certificate_violations(monkeypatch):
     # a step above its own certificate is a failure, and the record says so
-    monkeypatch.setattr(harness, "continuity_in_lambda", lambda x, l1, l2, w: (F(2), F(1)))
+    monkeypatch.setattr(harness, "_continuity", lambda x, l1, l2, w: (2, 1, 1))
     rep = lambda_bound_counterexample_search(GeneratorConfig(seed=0), cases=3)
     assert len(rep.failures) == 3
     assert "certificate violations: 3" in rep.records
+
+
+def _fraction_decision(draw, instance, seen):
+    """(failure detail, hit) of a check as Fraction comparisons of the
+    kernels' results ``seen``, each a list of values over its own scale."""
+    if draw is harness._draw_ultrametric_h:
+        [dh], [ra], [rb] = seen
+        return (f"d_H = {dh} exceeds both covering radii"
+                if dh > max(ra, rb) else None), False
+    [[d, bound]] = seen
+    if draw is harness._draw_stability:
+        return (f"deformed distance {d} exceeds input distance {bound}"
+                if d > bound else None), False
+    if draw is harness._draw_continuity:
+        return (f"step {d} exceeds certificate {bound}" if d > bound else None), False
+    return (f"certificate {bound} violated by step {d}" if d > bound else None,
+            d > abs(instance["lam1"] - instance["lam2"]))
+
+
+@pytest.mark.parametrize("draw", [harness._draw_ultrametric_h, harness._draw_continuity,
+                                  harness._draw_stability, harness._draw_lambda_hits])
+def test_int_checks_decide_like_fraction_comparisons(draw, monkeypatch):
+    # each kernel result is stretched by small random factors, value and
+    # scale apart, so the two sides of a comparison come out either way, and
+    # equal, over scales that differ
+    rng, seen = random.Random(11), []
+
+    def stretched(fn):
+        def faulty(*args):
+            *values, scale = fn(*args)
+            values = [v * (1 + rng.randrange(3)) for v in values]
+            scale *= 1 + rng.randrange(3)
+            seen.append([F(v, scale) for v in values])
+            return (*values, scale)
+        return faulty
+
+    for name in ("_hausdorff", "_covering", "_continuity", "_stability"):
+        monkeypatch.setattr(harness, name, stretched(getattr(harness, name)))
+    cfg, draws, outcomes = GeneratorConfig(seed=2), random.Random(2), Counter()
+    for index in range(300):
+        [(check, instance)] = draw(draws, cfg, index)
+        tally = Tally()
+        seen.clear()
+        detail = check(tally, **instance)
+        expected, hit = _fraction_decision(draw, instance, seen)
+        assert (detail, tally["hits"]) == (expected, hit), instance
+        outcomes[detail is None, hit] += 1
+    assert outcomes[False, False] + outcomes[False, True] > 0  # both ways
+    assert outcomes[True, False] + outcomes[True, True] > 0
+
+
+def test_int_checks_at_equality_neither_fail_nor_hit():
+    w = Window(F(0), F(10))
+    # d_H = 10 equals both covering radii
+    assert harness._check_ultrametric_h(Tally(), PointSet.of([0]), PointSet.of([10]), w) is None
+    # {5} and [4, 6]: the step 1 equals its certificate f(1/2) - f(0)
+    step_at_bound = {"x": PointSet.of([5]), "lam1": F(0), "lam2": F(1, 2), "window": w}
+    assert harness._check_continuity(Tally(), **step_at_bound) is None
+    # {0} and {1} stay 1 apart at lam = 0
+    assert harness._check_stability(
+        Tally(), PointSet.of([0]), PointSet.of([1]), F(0), w) is None
+    tally = Tally()
+    assert harness._check_lambda_hits(tally, **step_at_bound) is None
+    assert tally["hits"] == 1 and not tally["violations"]
+    # {0, 1} against [0, 1]: the step 1/2 equals |lam1 - lam2|, no hit
+    tally = Tally()
+    assert harness._check_lambda_hits(tally, PointSet.of([0, 1]), F(0), F(1, 2),
+                                      Window(F(0), F(1))) is None
+    assert not tally["hits"] and not tally["violations"]
 
 
 def test_homothety_experiment_examples():
