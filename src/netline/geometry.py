@@ -12,7 +12,7 @@ Distances between sets and the deformation share one integer kernel: each
 stored form is rescaled by one int factor to 2·lcm of the denominators (of
 the sets, and of a window and every radius), so every endpoint and gap
 midpoint is an int, spans fuse as ints and clamp only at the two outer
-ends, and one O(n + m) merge gives a directed sup.
+ends, and a directed sup reads only the gaps that can raise its best.
 """
 
 from __future__ import annotations
@@ -268,10 +268,10 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     Each directed sup is attained at an endpoint of the source or at a gap
     midpoint of the target that lies in the source.  Both stored forms are
     rescaled to s = 2·lcm(denominators): endpoints become even ints,
-    so every gap midpoint and half gap is an int too.  One O(n + m) forward
-    merge per direction then finds the sup, and only the result is divided.
-    Two point sets are swept as points: a target gap's midpoint lies in a
-    point set only at one of its points, which the merge has scored.
+    so every gap midpoint and half gap is an int too.  Each direction reads
+    only the target gaps wider than twice its best so far, and only the
+    result is divided.  Two point sets are merged as points: a target gap's
+    midpoint lies in a point set only at one of its points, which it scores.
     """
     return Fraction(*_hausdorff(a, b))
 
@@ -303,7 +303,7 @@ def _scaled(*forms: Form) -> tuple[int, list[list[int]]]:
 
 def _symmetric_sup(a: list[int], b: list[int]) -> int:
     """Scaled Hausdorff distance of two flat sorted span lists."""
-    return max(_directed_sup(a, b), _directed_sup(b, a))
+    return _directed_sup(b, a, _directed_sup(a, b))
 
 
 def _clamp_fuse(
@@ -349,29 +349,26 @@ def _sample(flat: list[int], h: int) -> list[int]:
     return pts
 
 
-def _directed_sup(src: list[int], dst: list[int]) -> int:
-    """sup over x in src of d(x, dst); both flat sorted [lo, hi, lo, hi, ...]."""
-    best, n, k = 0, len(dst), 0
-    for x in src:
-        while k < n and dst[k] < x:
-            k += 1
-        if k % 2:
-            continue  # x lies inside a span of dst
-        d = x - dst[k - 1] if k else dst[0] - x
-        if 0 < k < n and dst[k] - x < d:
-            d = dst[k] - x
-        if d > best:
-            best = d
-    # a gap midpoint lies half the gap from dst; it counts if it is in src
-    m, i = len(src), 0
-    for k in range(1, n - 1, 2):
-        half = (dst[k + 1] - dst[k]) // 2
-        if half > best:
-            mid = dst[k] + half
-            while i < m and src[i] < mid:
-                i += 1
-            if i % 2:  # inside a span of src; endpoints were counted above
-                best = half
+def _directed_sup(src: list[int], dst: list[int], best: int = 0) -> int:
+    """max(best, sup over x in src of d(x, dst)); both flat sorted [lo, hi, ...].
+
+    After the ends of src beyond dst's hull, only a gap (l, r) of dst with
+    half > best can score: half if a span of src holds its midpoint, else
+    at the ends of src next to the midpoint."""
+    best = max(best, dst[0] - src[0], src[-1] - dst[-1])
+    for k in range(1, len(dst) - 1, 2):
+        l, r = dst[k], dst[k + 1]
+        half = (r - l) // 2
+        if half <= best:
+            continue
+        i = bisect_left(src, l + half)
+        if i % 2:
+            best = half  # a span of src holds the midpoint
+            continue
+        if i and src[i - 1] - l > best:
+            best = src[i - 1] - l
+        if i < len(src) and r - src[i] > best:
+            best = r - src[i]
     return best
 
 

@@ -24,14 +24,16 @@ not depend on where a scan stops.
 Branch-and-bound also refines.  Refinement at a threshold t (Ullmann's
 1976 refinement for subgraph isomorphism, applied to correspondences)
 deletes every cell that no correspondence of distortion below t can hold;
-an emptied row proves the least distortion is at least t.  Its first pass
-keeps exactly the cells whose distance rows lie at Hausdorff distance
-below t (the profile filter of Memoli, 2012), so it subsumes the profile
-lower bound.  Singleton refinement probes each live cell by assuming it
-and refining from there; it is the root proof step of the staircase on
-line pairs.  Matrix pairs keep plain refinement, because on band metrics
-the probes closed no pair and cost several times the search.  Neither
-counts a search node.
+an emptied row proves the least distortion is at least t.  It starts from
+the cells whose eccentricities differ by less than t (Memoli, 2012), a set
+that holds every cell of the fixpoint, so it ends where a start from the
+full relation does.  Every cell it keeps has distance rows at Hausdorff
+distance below t (the profile filter of the same paper), so it subsumes
+the profile lower bound.  Singleton refinement probes each live cell by
+assuming it and refining from there; it is the root proof step of the
+staircase on line pairs.  Matrix pairs keep plain refinement, because on
+band metrics the probes closed no pair and cost several times the search.
+Neither counts a search node.
 """
 
 from __future__ import annotations
@@ -255,18 +257,29 @@ def _fixpoint(dx: list[list[int]], near: list[dict[int, int]], live: list[int]) 
     return True
 
 
+def _eccentric(dx: list[list[int]], dy: list[list[int]], t: int) -> list[int]:
+    """The cells (i, j) with | max(dx[i]) - max(dy[j]) | < ``t``, as live
+    columns per X row.  Every cell of a refinement fixpoint passes: the
+    farthest point of each side needs a partner within t, in both the
+    support and the cover test.  So the greatest fixpoint below this start
+    is the one below the full relation."""
+    ey = [max(row) for row in dy]
+    return [sum(1 << j for j, f in enumerate(ey) if -t < e - f < t) for e in map(max, dx)]
+
+
 def _refine(dx: list[list[int]], dy: list[list[int]], t: int) -> list[int] | None:
-    """Live columns of each X row after refinement at ``t`` from the full
-    relation; None once a row empties (see ``_fixpoint``)."""
-    live = [(1 << len(dy)) - 1] * len(dx)
+    """Live columns of each X row after refinement at ``t`` from the
+    eccentric cells; None once a row empties (see ``_fixpoint``)."""
+    live = _eccentric(dx, dy, t)
     return live if _fixpoint(dx, _near(dx, dy, t), live) else None
 
 
 def _singleton_refine(
     dx: list[list[int]], dy: list[list[int]], t: int
 ) -> list[int] | None:
-    """Refinement at ``t`` tightened by singleton probes (singleton arc
-    consistency; Debruyne and Bessiere, 1997); None once a row empties.
+    """Refinement at ``t`` from the eccentric cells, tightened by singleton
+    probes (singleton arc consistency; Debruyne and Bessiere, 1997); None
+    once a row empties.
 
     The probe of a live cell (i, j) assumes it is in the correspondence:
     every row i2, row i included, keeps the columns j2 with
@@ -277,7 +290,7 @@ def _singleton_refine(
     repeat until none deletes a cell.
     """
     near = _near(dx, dy, t)
-    live = [(1 << len(dy)) - 1] * len(dx)
+    live = _eccentric(dx, dy, t)
     if not _fixpoint(dx, near, live):
         return None
     deleted = True

@@ -29,6 +29,7 @@ from netline import (
     thicken,
 )
 from netline.formats import format_space, loads_space
+from netline.geometry import _directed_sup
 from netline.harness import GeneratorConfig, random_point_set, random_scalar
 
 
@@ -296,6 +297,45 @@ def test_point_sweep_matches_span_sweep_and_oracle(kind):
         want = points_hausdorff(a, b)
         assert hausdorff(a, b) == hausdorff(a.to_intervals(), b.to_intervals()) == want
         assert hausdorff(a, a) == 0
+
+
+def flat_spans(rng: random.Random, spans: int, lo: int, extra=()) -> list[int]:
+    """About ``spans`` flat sorted spans of even ints from ``lo`` on, some of
+    them degenerate, with the values of ``extra`` among their ends."""
+    ends = sorted({*rng.sample(range(lo, lo + 8 * spans + 8), 2 * spans), *extra})
+    flat = []
+    for a, b in zip(ends[::2], ends[1::2]):
+        flat += (2 * a, 2 * (b if b in extra or rng.random() < 0.8 else a))
+    return flat if len(ends) % 2 == 0 else flat + [2 * ends[-1]] * 2
+
+
+def directed_oracle(src: list[int], dst: list[int], best: int) -> int:
+    """max(best, sup of the linear distance to dst's spans over src's ends
+    and dst's gap midpoints that lie in a span of src)."""
+    dst_spans, src_spans = list(zip(dst[::2], dst[1::2])), list(zip(src[::2], src[1::2]))
+    mids = [(b0 + a1) // 2 for (_, b0), (a1, _) in zip(dst_spans, dst_spans[1:])]
+    points = src + [x for x in mids if any(a <= x <= b for a, b in src_spans)]
+    return max(best, *(linear_dist_to_spans(x, dst_spans) for x in points))
+
+
+def test_directed_sweep_matches_oracle_one_direction_at_a_time():
+    rng = random.Random(107)
+    seen = {"skipped": 0, "touched": 0, "left": 0, "right": 0}
+    for _ in range(400):
+        dst = flat_spans(rng, rng.choice((1, 2, 5, 30, 300)), rng.randint(-60, 20))
+        gaps = list(zip(dst[1::2], dst[2::2]))
+        # half the time, put an even gap midpoint of dst on an end of src
+        mids = [(b0 + a1) // 4 for b0, a1 in gaps if (b0 + a1) % 4 == 0]
+        touch = [rng.choice(mids)] if mids and rng.random() < 0.5 else []
+        src = flat_spans(rng, rng.choice((1, 3, 12, 300)), rng.randint(-80, 40), touch)
+        best = rng.choice((0, 0, rng.randint(0, 40)))
+        want = directed_oracle(src, dst, best)
+        assert _directed_sup(src, dst, best) == want
+        seen["skipped"] += 2 * sum((a1 - b0) // 2 <= want for b0, a1 in gaps) > len(gaps)
+        seen["touched"] += bool(touch)
+        seen["left"] += src[0] < dst[0]
+        seen["right"] += src[-1] > dst[-1]
+    assert min(seen.values()) >= 50, seen
 
 
 def test_hausdorff_metric_axioms():

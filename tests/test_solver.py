@@ -34,6 +34,9 @@ from netline import solver
 from netline.solver import (
     GHResult,
     _best_staircase,
+    _eccentric,
+    _fixpoint,
+    _near,
     _reach,
     _refine,
     _singleton_refine,
@@ -394,6 +397,22 @@ def test_refinement_is_sound_and_monotone():
                 if sac is not None:
                     assert live is not None
                     assert all(a & ~b == 0 for a, b in zip(sac, live))
+
+
+def test_eccentric_start_reaches_the_full_relation_fixpoint():
+    for kind in ("line", "matrix"):
+        for x, y in random_pairs(46, 100, kind):
+            _, dx, dy = scaled_int_matrices(x, y)
+            for t in sorted({abs(a - b) for rx in dx for a in rx for ry in dy for b in ry}):
+                near = _near(dx, dy, t)
+                start = _eccentric(dx, dy, t)
+                live, full = list(start), [(1 << len(dy)) - 1] * len(dx)
+                # the same refutation, or the same live cells, all inside the start
+                kept = _fixpoint(dx, near, live)
+                assert kept == _fixpoint(dx, near, full)
+                if kept:
+                    assert live == full
+                    assert all(a & ~b == 0 for a, b in zip(live, start))
 
 
 def arc_consistent(dx, dy, t, cells):
