@@ -194,7 +194,7 @@ def test_forged_bounds_above_the_exhaustive_limit_are_refused():
 def test_golden_gh_certificates_verify():
     golden = Path(__file__).parent / "golden"
     certs = sorted(golden.glob("*.cert.json"))
-    assert len(certs) == 9
+    assert len(certs) == 11
     for path in certs:
         assert verify_gh_certificate(json.loads(path.read_text(encoding="utf-8")))
 

@@ -68,6 +68,10 @@ INPUTS = {
     "e2.json": {"kind": "points", "coords": [
         "1", "2", "4", "7", "11", "13", "18", "19", "20", "26", "27", "30", "31",
         "34", "38", "39"]},
+    # a line pair whose best staircase (13) is not optimal: d_GH = 12 through
+    # the non-monotone correspondence (0,0) (1,3) (2,2) (3,1) (3,2)
+    "s1.json": {"kind": "points", "coords": ["0", "42", "48", "51"]},
+    "s2.json": {"kind": "points", "coords": ["0", "30", "34", "63"]},
     # unnormalised and mixed scalar forms, in increasing order
     "pu.json": {"kind": "points", "coords": [
         "-7/14", "-0", "6/4", "2.50", "007", "1e1"]},
@@ -113,6 +117,14 @@ CASES = [
                                "branch-bound", "--budget", "1000",
                                "--certificate", "r16.cert.json"],
      "r16.cert.json"),
+    ("dist-gh-bb-line-search", ["dist-gh", "s1.json", "s2.json", "--method",
+                                "branch-bound", "--certificate", "ls.cert.json"],
+     "ls.cert.json"),
+    # at budget 0 the root does not close the pair: bounds-only [21/2, 13]
+    ("dist-gh-bb-line-search-budget-0", ["dist-gh", "s1.json", "s2.json",
+                                         "--method", "branch-bound", "--budget",
+                                         "0", "--certificate", "ls0.cert.json"],
+     "ls0.cert.json"),
     ("trace", ["trace", "net.json", "--window", "w10.json",
                "--grid", "0,1/8,1/3,1/2,3/4,1,1"], None),
     ("contract", ["contract", "net.json", "--lam", "1/3", "--window", "w10.json"],
