@@ -152,21 +152,22 @@ def cmd_dist_gh(args: argparse.Namespace) -> int:
 
 
 @contextlib.contextmanager
-def _naming(flag: str, path: str) -> Iterator[None]:
-    """Name the field a deformation refuses: the points file for a set
-    outside the window, ``flag`` for its parameters."""
+def _naming(flag: str, *fields: tuple[str, str]) -> Iterator[None]:
+    """Name the field a library call refuses: the field of the first
+    (word, field) pair whose word its message holds, else ``flag``."""
     try:
         yield
     except InvariantError:
         raise
     except ValueError as exc:
-        raise FormatError(path if "window" in str(exc) else flag, str(exc)) from None
+        name = next((f for word, f in fields if word in str(exc)), flag)
+        raise FormatError(name, str(exc)) from None
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
     x, w = _points_in_window(args)
     lam = parse_scalar(args.lam, "--lam")
-    with _naming("--lam", args.x):
+    with _naming("--lam", ("window", args.x)):
         result = contract(x, lam, w)
     return _answer(0, (args.out, lambda: dumps_doc(format_space(result)), (
         (f"contract output.intervals[{k // 2}][{k % 2}]", Fraction(v, result.den))
@@ -176,7 +177,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     x, w = _points_in_window(args)
     grid = [parse_scalar(g, "--grid") for g in args.grid.split(",")]
-    with _naming("--grid", args.x):
+    with _naming("--grid", ("window", args.x)):
         tr = run_trace(x, w, grid)
     columns = ("lam", "f_lam", "d_H_to_window", "step_d_H", "certified_bound")
     return _answer(0, (args.out, lambda: trace_csv(tr), (
@@ -207,19 +208,15 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _nonnegative(args.budget, "--budget")
     if args.name == "homothety":
         lam = parse_scalar(args.lam, "--lam")
-        if lam < 1:
-            raise FormatError("--lam", "expected a scaling factor of at least 1")
-        if min(args.sizes) < 1:
-            raise FormatError("--sizes", "expected positive sizes")
-        table = harness.homothety_experiment(lam, args.sizes, budget=args.budget)
+        with _naming("--lam", ("sizes", "--sizes")):
+            table = harness.homothety_experiment(lam, args.sizes, budget=args.budget)
     else:
         factor = parse_scalar(args.factor, "--factor")
-        if factor <= 0:
-            raise FormatError("--factor", "expected a positive factor")
         _nonnegative(args.k, "--k")
-        table = harness.geometric_progression_experiment(
-            args.k, factor, budget=args.budget
-        )
+        with _naming("--factor"):
+            table = harness.geometric_progression_experiment(
+                args.k, factor, budget=args.budget
+            )
     columns = ("2dGH_lower", "2dGH_upper", "2dGH_exact")
     return _answer(0, (args.out, table.render, chain(
         ((f"experiment param {name}", v) for name, v in table.params),

@@ -5,8 +5,10 @@ already rounded.  A scalar string is read in the one grammar that
 `geometry.as_scalar` owns.  Coordinates, interval ends and matrix entries
 become the ints over one denominator that the spaces store.  When every
 scalar of a list is in a form the program writes, ASCII "-?digits" or
-"-?digits/digits", one pass that deletes the ASCII digits checks them all
-and `str.partition` and `int()` convert them; any other list, and any
+"-?digits/digits", one pass that deletes the ASCII digits checks them all,
+each value is partitioned once, and `int()` reads each distinct
+denominator once and each numerator in the step that scales it to the
+lcm of the denominators; any other list, and any
 single scalar, is read by `as_scalar`, which gives the same values and
 reports the first bad field in document order.  Printing is canonical
 and deterministic, so parse(print(x)) = x bit-exact and identical inputs
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, lcm
-from operator import itemgetter, mul
 from typing import Any, Callable, Union
 
 from .correspondence import Correspondence, FiniteMetricSpace, Relation, distortion
@@ -61,18 +62,15 @@ def _written(values: list[Any]) -> Form | None:
     try:
         if "/" not in text:
             return list(map(int, values)), 1
-        # two lazy passes: all the partition triples at once would hold three
-        # objects per value at the peak
-        dens = list(map(itemgetter(2), map(str.partition, values, repeat("/"))))
-        qs = {den: int(den or 1) for den in dict.fromkeys(dens)}
-        ints = list(map(int, map(itemgetter(0), map(str.partition, values, repeat("/")))))
+        parts = [v.partition("/") for v in values]
+        qs = {den: int(den or 1) for den in {den for _, _, den in parts}}
+        lcm_den = lcm(*qs.values())
+        if not lcm_den:  # a zero denominator
+            return None
+        scale = {den: lcm_den // q for den, q in qs.items()}
+        return [int(num) * scale[den] for num, _, den in parts], lcm_den
     except ValueError:  # such a part, or more digits than int() converts
         return None
-    lcm_den = lcm(*qs.values())
-    if not lcm_den:  # a zero denominator
-        return None
-    scale = {den: lcm_den // q for den, q in qs.items()}
-    return list(map(mul, ints, map(scale.__getitem__, dens))), lcm_den
 
 
 def _ratio(value: Any, location: str | Callable[[], str]) -> tuple[int, int]:

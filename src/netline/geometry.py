@@ -12,7 +12,8 @@ Distances between sets and the deformation share one integer kernel: each
 stored form is rescaled by one int factor to 2·lcm of the denominators (of
 the sets, and of a window and every radius), so every endpoint and gap
 midpoint is an int, spans fuse as ints and clamp only at the two outer
-ends, and a directed sup reads only the gaps that can raise its best.
+ends, and a sweep reads only the gaps that can raise its best: a directed
+sup over spans, and one symmetric sweep over two point sets.
 """
 
 from __future__ import annotations
@@ -270,8 +271,8 @@ def hausdorff(a: SetOnLine, b: SetOnLine) -> Fraction:
     rescaled to s = 2·lcm(denominators): endpoints become even ints,
     so every gap midpoint and half gap is an int too.  Each direction reads
     only the target gaps wider than twice its best so far, and only the
-    result is divided.  Two point sets are merged as points: a target gap's
-    midpoint lies in a point set only at one of its points, which it scores.
+    result is divided.  Two point sets are swept as points, both directions
+    through one best value (`_point_sup`).
     """
     return Fraction(*_hausdorff(a, b))
 
@@ -280,7 +281,7 @@ def _hausdorff(a: SetOnLine, b: SetOnLine) -> tuple[int, int]:
     """`hausdorff` as (value, scale) ints: the distance is value / scale."""
     if isinstance(a, PointSet) and isinstance(b, PointSet):
         scale, (sa, sb) = _scaled((a.ints, a.den), (b.ints, b.den))
-        return max(_point_sup(sa, sb), _point_sup(sb, sa)), scale
+        return _point_sup(sa, sb), scale
     scale, (sa, sb) = _scaled(_spans(a), _spans(b))
     return _symmetric_sup(sa, sb), scale
 
@@ -372,18 +373,26 @@ def _directed_sup(src: list[int], dst: list[int], best: int = 0) -> int:
     return best
 
 
-def _point_sup(src: list[int], dst: list[int]) -> int:
-    """sup over x in src of d(x, dst); both ascending point lists."""
-    best, last, k = 0, len(dst) - 1, 0
-    for x in src:
-        while k < last and dst[k] < x:
-            k += 1
-        # dst[k] is the first point at or past x, else the last point
-        d = abs(dst[k] - x)
-        if k and x - dst[k - 1] < d:
-            d = x - dst[k - 1]
-        if d > best:
-            best = d
+def _point_sup(a: list[int], b: list[int]) -> int:
+    """Scaled Hausdorff distance of two ascending lists of even ints.
+
+    Both directions share one best value, which starts at the two end gaps.
+    Only a gap (l, r) of either list wider than twice the best can raise it,
+    and only at the other list's points next to its midpoint, which a bisect
+    finds.  Since the end gaps are at most best, a point of the other list
+    lies at or past the midpoint of every gap read.
+    """
+    best = max(abs(a[0] - b[0]), abs(a[-1] - b[-1]))
+    for src, dst in (a, b), (b, a):
+        l = dst[0]
+        for r in dst:
+            if r - l > 2 * best:
+                i = bisect_left(src, (l + r) // 2)
+                if i and src[i - 1] - l > best:
+                    best = src[i - 1] - l
+                if r - src[i] > best:
+                    best = r - src[i]
+            l = r
     return best
 
 

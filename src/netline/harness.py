@@ -733,11 +733,11 @@ def homothety_experiment(
     """
     factor = as_scalar(lam)
     if factor < 1:
-        raise ValueError("scaling factor must be at least 1")
+        raise ValueError("expected a scaling factor of at least 1")
+    if any(n_max < 1 for n_max in sizes):
+        raise ValueError("expected positive sizes")
     rows = []
     for n_max in sizes:
-        if n_max < 1:
-            raise ValueError("sizes must be positive")
         grid = PointSet.of(range(n_max + 1))
         x = FiniteMetricSpace.from_line(grid)
         y = FiniteMetricSpace.from_line(grid.scale(factor))
@@ -755,7 +755,7 @@ def geometric_progression_experiment(
     """
     f = as_scalar(factor)
     if f <= 0:
-        raise ValueError("factor must be positive")
+        raise ValueError("expected a positive factor")
     rows = []
     for k in range(1, k_max + 1):
         powers = PointSet.of(3 ** i for i in range(1, k + 1))

@@ -11,12 +11,16 @@ the stored ints of the sets and the window, each times its factor of one
 n/d enters as that int pair, each deformed set is built from its ints by the
 int constructor, and Fractions are built only for distances and bounds.
 Stability deforms only at its lam: its inputs are swept as point sets.
+A trace reads each row's distance to the window off its end and widest
+gaps, and its step in the one direction that can be nonzero, from the row
+to the previous one, which it contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .errors import InvariantError
@@ -26,6 +30,7 @@ from .geometry import (
     ScalarLike,
     Window,
     _clamp_fuse,
+    _directed_sup,
     _point_sup,
     _scale,
     _symmetric_sup,
@@ -127,7 +132,7 @@ def _stability(
     if not 0 <= v.numerator < v.denominator:
         raise ValueError("lam must lie in [0, 1)")
     scale, _, _, (p, pn), [[a], [an]] = _deformations([x, xn], [v], w)
-    return _symmetric_sup(a, an), max(_point_sup(p, pn), _point_sup(pn, p)), scale
+    return _symmetric_sup(a, an), _point_sup(p, pn), scale
 
 
 @dataclass(frozen=True)
@@ -162,7 +167,7 @@ def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:
         raise ValueError("grid must be nonempty")
     if any(a > b for a, b in zip(lams, lams[1:])):
         raise ValueError("grid must be sorted ascending")
-    scale, window, radii, _, [flats] = _deformations([x], lams, w)
+    scale, (lo, hi), radii, _, [flats] = _deformations([x], lams, w)
     steps = list(zip(lams, radii, flats))
     rows: list[TraceRow] = []
     # the first row steps from itself: distance 0, bound 0
@@ -172,10 +177,15 @@ def trace(x: PointSet, w: Window, grid: Sequence[ScalarLike]) -> HomotopyTrace:
             bound = Fraction(0) if prev_lam == 1 else None
         else:
             bound = Fraction(abs(r - prev_r), scale)
+        # flat lies in the window: the window point farthest from it is an
+        # end of the window or the midpoint of its widest gap
+        gap = max(map(sub, flat[2::2], flat[1::2]), default=0)
         rows.append(TraceRow(
             lam, IntervalUnion.from_ints(flat, scale),
-            Fraction(_symmetric_sup(flat, window), scale),
-            Fraction(_symmetric_sup(flat, prev), scale), bound))
+            Fraction(max(flat[0] - lo, hi - flat[-1], gap // 2), scale),
+            # an ascending grid nests the deformations, prev inside flat,
+            # so no point of prev is away from flat
+            Fraction(_directed_sup(flat, prev), scale), bound))
     return HomotopyTrace(tuple(rows))
 
 

@@ -345,8 +345,9 @@ def _staircase(
     the path ends alone span ``cap``.  Returns (distortion, path).  Half the
     lesser of the increasing and decreasing values is d_H,iso, the Hausdorff
     distance under translation and reflection, and d_GH <= d_H,iso <= (5/4)
-    d_GH on the line (Majhi, Vitter and Wenk, arXiv:1912.13008); the two
-    have agreed on every line pair tried.
+    d_GH on the line (Majhi, Vitter and Wenk, arXiv:1912.13008).  The two
+    can differ: {0, 42, 48, 51} and {0, 30, 34, 63} have a best staircase of
+    13 and d_GH = 12, so on line pairs the staircase is only the seed.
     """
     start, end = xs[0] - ys[0], xs[-1] - ys[-1]
     top, floor = max(start, end), min(start, end)

@@ -24,6 +24,7 @@ from netline import (
     contract,
     diam,
     geometric_progression_experiment,
+    gh_branch_bound,
     gh_exact,
     gh_to_point,
     homothety_experiment,
@@ -37,6 +38,7 @@ from netline import (
 )
 from netline.cli import main
 from netline.harness import random_metric_space, random_point_set
+from netline.solver import staircase_bound
 
 SEED = 2026
 
@@ -104,6 +106,23 @@ def test_criterion_1_solver_oracle_equivalence():
         f"\nACCEPTANCE 1 PASS: gh_exact equals the full-mask oracle on all "
         f"{pairs_checked} pairs (sizes <= 4, coordinates 0..5), exactly"
     )
+
+
+def test_jittered_line_pairs_the_staircase_does_not_solve():
+    # X = {0, 42, 48, 51} and Y = {0, 30, 34, 63} have d_GH = 12 below their
+    # best staircase, 13; most of their +-1 jitters are not tight either
+    rng = random.Random(SEED + 12)
+    non_tight = 0
+    for _ in range(12):
+        xs, ys = (tuple(sorted({v + rng.randint(-1, 1) for v in base}))
+                  for base in ((0, 42, 48, 51), (0, 30, 34, 63)))
+        x, y = line(xs), line(ys)
+        expected = oracle_min_distortion(xs, ys) / 2
+        assert gh_branch_bound(x, y).exact == gh_exact(x, y).exact == expected, (xs, ys)
+        non_tight += staircase_bound(x, y)[0] > expected
+    assert non_tight >= 1
+    print(f"\nJITTER PASS: 12 +-1 jitters of a non-tight line pair match the "
+          f"full-mask oracle; {non_tight} of them are not staircase-tight")
 
 
 def test_criterion_2_concrete_exact_values():

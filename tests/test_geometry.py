@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from netline import (
     thicken,
 )
 from netline.formats import format_space, loads_space
-from netline.geometry import _directed_sup
+from netline.geometry import _directed_sup, _point_sup
 from netline.harness import GeneratorConfig, random_point_set, random_scalar
 
 
@@ -336,6 +337,54 @@ def test_directed_sweep_matches_oracle_one_direction_at_a_time():
         seen["left"] += src[0] < dst[0]
         seen["right"] += src[-1] > dst[-1]
     assert min(seen.values()) >= 50, seen
+
+
+def nearest_oracle(a: list[int], b: list[int]) -> int:
+    """Independent oracle: the farthest point of either list from the other,
+    by nearest distances over every pair of points."""
+    return max(max(min(abs(x - y) for y in t) for x in s) for s, t in ((a, b), (b, a)))
+
+
+def even_points(rng: random.Random, n: int, lo: int, span: int) -> list[int]:
+    return sorted(2 * v for v in rng.sample(range(lo, lo + span), n))
+
+
+def point_lists(rng: random.Random, kind: str) -> tuple[list[int], list[int]]:
+    """Two lists of one case class; half the time the second also holds the
+    ends of the first, so the end gaps read 0 and the inner gaps decide."""
+    if kind == "shared":  # 1-7 points each, drawn from one pool of 9
+        pool = even_points(rng, 9, 0, 12)
+        a, b = (rng.sample(pool, rng.randint(1, 7)) for _ in range(2))
+    elif kind == "one point":
+        a, b = even_points(rng, 1, -20, 40), even_points(rng, rng.randint(1, 7), -20, 40)
+    elif kind == "negative":
+        a, b = (even_points(rng, rng.randint(1, 7), -60, 50) for _ in range(2))
+    else:
+        a, b = even_points(rng, 300, -900, 2000), even_points(rng, rng.randint(1, 300), -900, 2000)
+    if rng.random() < 0.5:
+        b = [*b, min(a), max(a)]
+    return sorted(a), sorted(set(b))
+
+
+@pytest.mark.parametrize("kind, count", [
+    ("shared", 600), ("one point", 300), ("negative", 300), ("300 points", 60)])
+def test_symmetric_point_sweep_matches_nearest_distance_oracle(kind, count):
+    rng = random.Random(f"point-lists:{kind}")
+    seen = Counter()
+    for _ in range(count):
+        a, b = point_lists(rng, kind)
+        if rng.random() < 0.5:
+            a, b = b, a
+        want = nearest_oracle(a, b)
+        assert _point_sup(a, b) == _point_sup(b, a) == want, (a, b)
+        ends = max(abs(a[0] - b[0]), abs(a[-1] - b[-1]))
+        seen["shares a point"] += bool(set(a) & set(b))
+        seen["the ends score"] += want == ends
+        seen["an inner gap scores"] += want > ends
+    # a one-point list is farthest from an end of the other list
+    inner = 0 if kind == "one point" else count // 20
+    assert min(seen["shares a point"], seen["the ends score"]) >= count // 20, seen
+    assert seen["an inner gap scores"] >= inner, seen
 
 
 def test_hausdorff_metric_axioms():

@@ -26,7 +26,8 @@ from netline import (
     trace_csv,
 )
 from netline.harness import GeneratorConfig, random_lambda, random_point_set
-from netline.homotopy import HomotopyTrace, TraceRow
+from netline.geometry import _directed_sup, _symmetric_sup
+from netline.homotopy import HomotopyTrace, TraceRow, _deformations
 from test_geometry import COPRIME_DENOMINATORS, coprime_scalar, sup_norm_hausdorff
 
 
@@ -281,6 +282,30 @@ def test_deformations_match_fraction_reference():
         seen["both clamps"] += left == w.lo and right == w.hi
         seen["one span"] += len(ref1) == 1 < len(x)
         seen["denominator 1"] += any(p.denominator == 1 for p in x.points)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_trace_rows_read_the_one_direction_that_can_be_nonzero():
+    rng = random.Random(48)
+    seen = Counter()
+    for _ in range(300):
+        lo = coprime_scalar(rng, -20, 5)
+        w = Window(lo, lo + coprime_scalar(rng, 1, 15))
+        width = w.hi - w.lo
+        x = PointSet.of(window_scalar(rng, w.lo, w.hi) for _ in range(rng.randint(1, 8)))
+        grid = [differential_lambda(rng, width) for _ in range(rng.randint(1, 4))]
+        grid += rng.choice(([], grid[:1], [F(1)], [F(1), F(1)]))
+        grid.sort()
+        scale, window, _, _, [flats] = _deformations([x], grid, w)
+        for row, flat, prev in zip(trace(x, w, grid).rows, flats, flats[:1] + flats):
+            # an ascending grid nests each deformation in the next
+            assert _directed_sup(prev, flat) == 0
+            assert row.d_to_window == F(_symmetric_sup(flat, window), scale)
+            assert row.step_d == F(_symmetric_sup(flat, prev), scale)
+        seen["repeated lam"] += len(set(grid)) < len(grid)
+        seen["lam 1"] += grid[-1] == 1
+        seen["radius past the window"] += any(lam < 1 and f_map(lam) > width for lam in grid)
+        seen["inner gap"] += any(len(flat) > 2 for flat in flats)
     assert min(seen.values()) >= 50, seen
 
 
