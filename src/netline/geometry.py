@@ -303,7 +303,8 @@ def _scaled(*forms: Form) -> tuple[int, list[list[int]]]:
 
 
 def _symmetric_sup(a: list[int], b: list[int]) -> int:
-    """Scaled Hausdorff distance of two flat sorted span lists."""
+    """Scaled Hausdorff distance of two flat sorted span lists; the second
+    direction starts from the first one's answer."""
     return _directed_sup(b, a, _directed_sup(a, b))
 
 
@@ -412,7 +413,8 @@ def covering_radius(a: PointSet, w: Window) -> Fraction:
 
 
 def _covering(a: PointSet, w: Window) -> tuple[int, int]:
-    """`covering_radius` as (value, scale) ints: the radius is value / scale."""
+    """`covering_radius` as (value, scale) ints: the radius is value / scale,
+    the largest of the two end gaps to the window and half the widest gap."""
     if not w.contains(a):
         raise ValueError("point set must lie inside the window")
     scale, ints, (lo, hi) = _scale(a.den, w.den), a.ints, w.ints

@@ -1,6 +1,6 @@
 """Exact Gromov-Hausdorff distance between finite metric spaces.
 
-Two independent routes to the same minimum:
+Two searches for the same minimum:
 
 * ``gh_exact`` enumerates subsets of X x Y (depth-first over pair slots,
   filtered by double surjectivity).  Distortion only grows when a pair is
@@ -12,28 +12,35 @@ Two independent routes to the same minimum:
   preimage.  Any correspondence contains such a sub-correspondence with no
   larger distortion, so the restricted family attains the true minimum.
 
-Both report d_GH = (min distortion)/2 and its witness through ``_result``.
-They share one start, ``_start`` (int matrices, diameter lower bound and a
-seeded incumbent, on line pairs the best monotone staircase), and one
-search step, ``_reach``: the partial distortion once a pair joins the pairs
-chosen so far.  A partial distortion is only ever compared with the
-incumbent, so each scan stops at the first value that reaches it: a capped
-value prunes exactly as the full one would, and results and node counts do
-not depend on where a scan stops.
+They are not independent of each other.  Both report d_GH = (min
+distortion)/2 and its witness through one finish, ``_result``, which
+re-derives the distortion of the incumbent's correspondence and raises
+`InvariantError` on any other value.  They share one start, ``_start``
+(int matrices, diameter lower bound and a seeded incumbent, on line pairs
+the best monotone staircase), and one search step, ``_reach``: the partial
+distortion once a pair joins the pairs chosen so far.  Independent
+references live in the tests: the numpy full-mask oracle of
+``tests/test_acceptance.py`` and ``brute_force_min_distortion`` of
+``tests/test_solver.py``.  A partial distortion is only ever compared with
+the incumbent, so each scan stops at the first value that reaches it: a
+capped value prunes exactly as the full one would, and results and node
+counts do not depend on where a scan stops.  Both searches stop once the
+incumbent meets the diameter lower bound, and both walk their own stack of
+pending nodes, so whether an input is solved does not depend on the
+interpreter's recursion limit.
 
 Branch-and-bound also refines.  Refinement at a threshold t (Ullmann's
 1976 refinement for subgraph isomorphism, applied to correspondences)
 deletes every cell that no correspondence of distortion below t can hold;
 an emptied row proves the least distortion is at least t.  It starts from
-the cells whose eccentricities differ by less than t (Memoli, 2012), a set
-that holds every cell of the fixpoint, so it ends where a start from the
-full relation does.  Every cell it keeps has distance rows at Hausdorff
-distance below t (the profile filter of the same paper), so it subsumes
-the profile lower bound.  Singleton refinement probes each live cell by
-assuming it and refining from there; it is the root proof step of the
-staircase on line pairs.  Matrix pairs keep plain refinement, because on
-band metrics the probes closed no pair and cost several times the search.
-Neither counts a search node.
+the cells whose eccentricities differ by less than t (Mémoli, "Some
+properties of Gromov-Hausdorff distances", 2012), a set that holds every
+cell of the fixpoint, so it ends where a start from the full relation
+does.  Every cell it keeps has distance rows at Hausdorff distance below t
+(the profile filter of the same paper), so it subsumes the profile lower
+bound.  Singleton refinement probes each live cell by assuming it and
+refining from there; ``gh_branch_bound`` says where each is used.  Neither
+counts a search node.
 """
 
 from __future__ import annotations
@@ -424,9 +431,15 @@ def gh_branch_bound(
     It starts from the seeded incumbent and diameter bound of ``_start``.
     While the gap is open, refinement at the incumbent either proves it
     optimal, with no node, or leaves the live cells.  On two line spaces
-    that step is singleton refinement, the root proof of the staircase
-    seed; matrix pairs take plain refinement, since on band metrics the
-    probes closed no pair and cost several times the search.
+    that step is singleton refinement, which can prove the staircase seed
+    at the root where refinement alone cannot (pinned by
+    ``test_singleton_refinement_closes_a_pair_refinement_leaves_open``).
+    On {0, 42, 48, 51} and {0, 30, 34, 63}, whose staircase is not optimal,
+    it leaves [21/2, 13] and the search finds 12 in 18 nodes (the goldens
+    ``dist-gh-bb-line-search`` and its ``--budget 0`` twin).  Matrix pairs
+    take plain refinement: on 18 band pairs of 8-18 points at budget
+    1,000, the probes closed no more pairs and took about 4.6 times the
+    solver time (measured in CHANGES.md).
 
     One search walks a list of steps, each fixing one index of the next
     pair: first every X row in decreasing eccentricity, then, once every

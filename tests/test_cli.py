@@ -475,17 +475,21 @@ def test_dist_gh_too_long_to_print_exits_2_before_its_first_line(tmp_path, capsy
     assert not cert.exists()
 
 
-@pytest.mark.parametrize("kind, field", [
-    ("points", "x.coords[0]"), ("matrix", "x.dist[0][1]"),
-])
-def test_a_certificate_input_too_long_to_print_is_named_at_its_path(
-        kind, field, tmp_path, capsys, digit_limit_4300):
+ORIGIN = {"kind": "points", "coords": ["0"]}
+MATRIX = {"kind": "matrix", "dist": [["0", "2e4300"], ["2e4300", "0"]]}
+A = "6" + "0" * 4299  # 6·10**4299: 4,300 digits print, but 2·A has 4,301
+
+
+@pytest.mark.parametrize("x, y, field", [
     # d_gh = 0 prints, but the certificate restates an input of 4,301 digits
-    doc = ({"kind": "points", "coords": ["2e4300"]} if kind == "points"
-           else {"kind": "matrix", "dist": [["0", "2e4300"], ["2e4300", "0"]]})
-    x = write(tmp_path / "x.json", doc)
-    y = write(tmp_path / "y.json", doc if kind == "matrix" else {"kind": "points",
-                                                                 "coords": ["0"]})
+    ({"kind": "points", "coords": ["2e4300"]}, ORIGIN, "x.coords[0]"),
+    (MATRIX, MATRIX, "x.dist[0][1]"),
+    # every bound and coordinate prints, but the distortion is 2·A
+    ({"kind": "points", "coords": ["-" + A, A]}, ORIGIN, "distortion"),
+], ids=["points-x.coords[0]", "matrix-x.dist[0][1]", "distortion"])
+def test_a_certificate_input_too_long_to_print_is_named_at_its_path(
+        x, y, field, tmp_path, capsys, digit_limit_4300):
+    x, y = write(tmp_path / "x.json", x), write(tmp_path / "y.json", y)
     cert = tmp_path / "cert.json"
     assert main(["dist-gh", x, y, "--certificate", str(cert)]) == 2
     assert capsys.readouterr() == ("", f"error: {cert}: {field}: {TOO_LONG}")

@@ -33,9 +33,10 @@ from netline import (
 )
 from netline import harness
 from netline.correspondence import FiniteMetricSpace
-from netline.errors import InvariantError
+from netline.errors import InvariantError, PreconditionError
 from netline.formats import parse_metric_space, parse_scalar, parse_space
 from netline.harness import Tally, shrink_instance
+from netline.ordering import OrderPreservationReport
 
 
 def test_reports_are_byte_deterministic():
@@ -135,43 +136,97 @@ def _scaled(fn, *factors):
     return faulty
 
 
-def _shifted_staircase(fn):
-    def faulty(x, y):
-        high, corr = fn(x, y)
-        return high + 1, corr
+def _shifted_staircase(delta):
+    def fault(fn):
+        def faulty(x, y):
+            high, corr = fn(x, y)
+            return high + delta, corr
+        return faulty
+    return fault
+
+
+def _loose(bound):
+    """A construction whose certified bound field reads -1."""
+    def fault(fn):
+        def faulty(*args):
+            return fn(*args)._replace(**{bound: F(-1)})
+        return faulty
+    return fault
+
+
+def _failing(fn):
+    """A checker whose every report reads "fail"."""
+    def faulty(r, x, y):
+        return replace(fn(r, x, y), status="fail")
     return faulty
 
 
-def _loose_extension(fn):
-    def faulty(*args):
-        return fn(*args)._replace(bound=F(-1))
+def _refusing(fn):
+    def faulty(r, x, y):
+        raise PreconditionError("hypothesis refused")
     return faulty
 
 
-# suite: (harness dependency, fault, the suite's checks)
+def _never_refusing(fn):
+    def faulty(r, x, y):
+        try:
+            return fn(r, x, y)
+        except PreconditionError:
+            return OrderPreservationReport("pass", F(0), None, 0, None)
+    return faulty
+
+
+# (suite, fault): (harness dependency, its fault, the suite's checks, a
+# failure detail the fault must produce).  A suite's first fault has the
+# empty name, so its test id is the suite's name.
 FAULTS = {
     # the int kernels' faults keep the value of the Fraction faults they
     # replace: (v, 2·s) halves a radius, (2·d, b, 2·s) halves a bound
-    "ultrametric-h": ("_covering", lambda fn: _scaled(fn, 1, 2),
-                      [harness._check_ultrametric_h]),
-    "ultrametric-gh": ("hausdorff", lambda fn: lambda a, b: F(0),
-                       [harness._check_ultrametric_gh]),
-    "bounded-cloud": ("diam", lambda fn: lambda x: fn(x) / 4,
-                      [harness._check_bounded_cloud]),
-    "gh-bounds": ("staircase_bound", _shifted_staircase, [harness._check_gh_bounds]),
-    "continuity": ("_continuity", lambda fn: _scaled(fn, 2, 1, 2),
-                   [harness._check_continuity]),
-    "stability": ("_stability", lambda fn: _scaled(fn, 2, 1, 1),
-                  [harness._check_stability]),
-    "order-lemmas": ("order_violation_bound",
-                     lambda fn: lambda r, x, y: replace(fn(r, x, y), status="fail"),
-                     [harness._check_betweenness, harness._check_refusal,
-                      harness._check_inverted_gap]),
-    "construction-bounds": ("extend_correspondence", _loose_extension,
-                            [harness._check_segment, harness._check_extension]),
-    "lambda-hits": ("_continuity",
-                    lambda fn: lambda x, l1, l2, w: (2, 1, 1),
-                    [harness._check_lambda_hits]),
+    ("ultrametric-h", ""): (
+        "_covering", lambda fn: _scaled(fn, 1, 2),
+        [harness._check_ultrametric_h], "exceeds both covering radii"),
+    ("ultrametric-gh", ""): (
+        "hausdorff", lambda fn: lambda a, b: F(0),
+        [harness._check_ultrametric_gh], "solver value"),
+    ("ultrametric-gh", "covering-halved"): (
+        "covering_radius", lambda fn: lambda x, w: fn(x, w) / 2,
+        [harness._check_ultrametric_gh], "d_H chain broke"),
+    ("bounded-cloud", ""): (
+        "diam", lambda fn: lambda x: fn(x) / 4,
+        [harness._check_bounded_cloud], "sandwich broke"),
+    ("gh-bounds", ""): (
+        "staircase_bound", _shifted_staircase(1),
+        [harness._check_gh_bounds], "exceeds 5/4 of d_GH"),
+    ("gh-bounds", "staircase-low"): (
+        "staircase_bound", _shifted_staircase(-1),
+        [harness._check_gh_bounds], "is below d_GH"),
+    ("continuity", ""): (
+        "_continuity", lambda fn: _scaled(fn, 2, 1, 2),
+        [harness._check_continuity], "exceeds certificate"),
+    ("stability", ""): (
+        "_stability", lambda fn: _scaled(fn, 2, 1, 1),
+        [harness._check_stability], "exceeds input distance"),
+    ("order-lemmas", ""): (
+        "order_violation_bound", _failing,
+        [harness._check_inverted_gap], "inverted-gap check came back fail"),
+    ("order-lemmas", "refusing"): (
+        "check_order_preservation", _refusing,
+        [harness._check_betweenness], "in-hypothesis instance was refused"),
+    ("order-lemmas", "failing"): (
+        "check_order_preservation", _failing,
+        [harness._check_betweenness, harness._check_refusal], "betweenness violated"),
+    ("order-lemmas", "never-refusing"): (
+        "check_order_preservation", _never_refusing,
+        [harness._check_refusal], "out-of-hypothesis instance was not refused"),
+    ("construction-bounds", ""): (
+        "extend_correspondence", _loose("bound"),
+        [harness._check_extension], "extension bound broke"),
+    ("construction-bounds", "loose-segment"): (
+        "segment_correspondence", _loose("continuum_bound"),
+        [harness._check_segment], "segment bound broke"),
+    ("lambda-hits", ""): (
+        "_continuity", lambda fn: lambda x, l1, l2, w: (2, 1, 1),
+        [harness._check_lambda_hits], "violated by step"),
 }
 
 
@@ -217,14 +272,15 @@ def _fails(check, instance) -> bool:
         return False
 
 
-@pytest.mark.parametrize("name", list(FAULTS))
-def test_injected_faults_give_shrunk_replayable_failures(name, monkeypatch):
-    attr, make_fault, checks = FAULTS[name]
+@pytest.mark.parametrize("key", list(FAULTS), ids=lambda key: "-".join(filter(None, key)))
+def test_injected_faults_give_shrunk_replayable_failures(key, monkeypatch):
+    name, _ = key
+    attr, make_fault, checks, detail = FAULTS[key]
     monkeypatch.setattr(harness, attr, make_fault(getattr(harness, attr)))
     verify, _, _ = harness.SUITES[name]
     cases = 12
     rep = verify(GeneratorConfig(seed=1), cases=cases)
-    assert rep.failures
+    assert any(detail in failure.detail for failure in rep.failures), rep.failures
     for failure in rep.failures:
         doc = json.loads(failure.instance)
         check = getattr(harness, "_" + doc.pop("check"))

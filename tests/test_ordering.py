@@ -125,7 +125,8 @@ def test_order_violation_global_reversal_is_inconclusive():
 def test_checker_flags_fabricated_violation():
     # the bound checker itself, fed a distortion smaller than the instance's
     # true one, must flag the swap it would otherwise accept; the second call
-    # puts xs, c and the margin over the scale 4, and ys stay on their own
+    # puts xs, c and the margin over the scale 4, and ys stay on their own;
+    # the third lists the pairs in reverse and must report the same
     pts = (0, 1, 200)
     pairs = ((0, 1), (1, 0), (2, 2))
     selection = (1, 0, 2)
@@ -137,6 +138,9 @@ def test_checker_flags_fabricated_violation():
         pairs, (0, 4, 800), pts, 1, 400, selection
     )
     assert violations == [(0, 1, 1, 0)]
+    assert inverted_pair_violations(
+        pairs[::-1], (0, 4, 800), pts, 1, 400, selection
+    ) == ([(0, 1, 1, 0)], [], 1)
 
 
 def _random_line(rng: random.Random, n: int) -> FiniteMetricSpace:
