@@ -205,18 +205,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    _nonnegative(args.budget, "--budget")
     if args.name == "homothety":
         lam = parse_scalar(args.lam, "--lam")
         with _naming("--lam", ("sizes", "--sizes")):
-            table = harness.homothety_experiment(lam, args.sizes, budget=args.budget)
+            table = harness.homothety_experiment(lam, args.sizes)
     else:
         factor = parse_scalar(args.factor, "--factor")
         _nonnegative(args.k, "--k")
         with _naming("--factor"):
-            table = harness.geometric_progression_experiment(
-                args.k, factor, budget=args.budget
-            )
+            table = harness.geometric_progression_experiment(args.k, factor)
     columns = ("2dGH_lower", "2dGH_upper", "2dGH_exact")
     return _answer(0, (args.out, table.render, chain(
         ((f"experiment param {name}", v) for name, v in table.params),
@@ -283,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("experiment", help="run a trend experiment")
+    p = sub.add_parser("experiment", help="tabulate 2 d_GH of a set and its scaling")
     p.add_argument("name", choices=("homothety", "geometric"))
     p.add_argument("--lam", default="3/2", help="homothety scaling factor")
     p.add_argument("--sizes", default="2,3,4,5,6,7,8",
@@ -291,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="homothety grid sizes, comma separated")
     p.add_argument("--factor", default="2", help="geometric progression factor")
     p.add_argument("--k", type=int, default=4, help="largest progression length")
-    p.add_argument("--budget", type=int, default=50_000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_experiment)
 

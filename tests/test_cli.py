@@ -164,15 +164,6 @@ def test_dist_gh_rejects_negative_budget_and_limit(flag, spaces, capsys):
     assert main(argv + [flag, "0"]) == 0  # zero stays valid
 
 
-def test_experiment_rejects_negative_budget(capsys):
-    argv = ["experiment", "homothety", "--sizes", "2,3"]
-    assert main(argv + ["--budget", "-1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: --budget: ")
-    assert main(argv + ["--budget", "0"]) == 0
-
-
 def test_experiment_rejects_malformed_sizes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "homothety", "--sizes", "2,x"])
@@ -197,7 +188,7 @@ def test_experiment_names_the_type_of_a_malformed_size_list(capsys):
     (["geometric", "--k", "-1"], "--k"),
 ])
 def test_experiment_parameter_errors_name_their_flag(args, flag, capsys):
-    assert main(["experiment", *args, "--budget", "10"]) == 2
+    assert main(["experiment", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flag}: expected ")

@@ -44,11 +44,13 @@ def test_relation_and_correspondence_invariants():
         Relation(())
     r = Relation.of([(1, 0), (0, 0), (1, 0)])
     assert r.pairs == ((0, 0), (1, 0))
+    assert len(r) == 2
     with pytest.raises(ValueError):
         Correspondence.of([(0, 0)], 2, 1)  # left misses index 1
     with pytest.raises(ValueError):
         Correspondence.of([(0, 0), (1, 0)], 2, 2)  # right misses index 1
     c = Correspondence.of([(0, 1), (1, 0), (0, 0)], 2, 2)
+    assert len(c) == 3
     assert c.image_of(0) == (0, 1)
     assert c.preimage_of(0) == (0, 1)
 

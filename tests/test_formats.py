@@ -858,6 +858,8 @@ def test_written_scalars_are_the_fraction_strings_of_the_stored_ints():
     for obj in (points, union, window):
         assert parse_space(format_space(obj)) == obj
     assert parse_metric_space(format_metric_space(matrix)) == matrix
+    with pytest.raises(TypeError, match="cannot format FiniteMetricSpace as a space"):
+        format_space(matrix)
 
 
 def test_written_scalars_match_the_fraction_views_on_random_spaces():

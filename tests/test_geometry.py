@@ -154,6 +154,8 @@ def test_hausdorff_examples():
     assert hausdorff(IntervalUnion.merge([(-1, 1)]), IntervalUnion.merge([(0, 1)])) == 1
     s = IntervalUnion.merge([(0, 1), (3, 4)])
     assert hausdorff(s, s) == 0
+    with pytest.raises(TypeError, match="got Window"):
+        hausdorff(Window.of(0, 1), PointSet.of([0]))
 
 
 def test_thicken_examples():

@@ -18,7 +18,6 @@ from netline import (
     PointSet,
     Window,
     geometric_progression_experiment,
-    gh_branch_bound,
     gh_exact,
     homothety_experiment,
     lambda_bound_counterexample_search,
@@ -413,24 +412,25 @@ def test_geometric_progression_examples():
     assert all(a < b for a, b in zip(lows, lows[1:]))
 
 
-def test_geometric_progression_searches_above_the_exhaustive_limit(monkeypatch):
-    # k = 6 is a 6 x 6 pair, 36 cells: its row comes from branch and bound
-    searched = []
-
-    def counted(x, y, budget):
-        searched.append((x.n, y.n, budget))
-        return gh_branch_bound(x, y, budget=budget)
-
-    monkeypatch.setattr(harness, "gh_branch_bound", counted)
-    table = geometric_progression_experiment(6, 2)
-    assert searched == [(6, 6, 200_000)]
+def test_scaling_rows_are_the_diameter_identity():
+    # 2 d_GH(X, fX) = |f - 1| diam X: the diameter bound, attained by the
+    # identity, an increasing staircase the solver seeds, so 0 nodes
+    for f in (F(1, 3), F(1), F(3, 2), F(2), F(7, 3)):
+        tables = [(geometric_progression_experiment(7, f), lambda k: 3 ** k - 3)]
+        if f >= 1:
+            tables.append((homothety_experiment(f, range(1, 9)), lambda n: n))
+        for table, diam_of in tables:
+            for m, row in enumerate(table.rows, 1):
+                want = abs(f - 1) * diam_of(m)
+                assert (row.lower_double, row.upper_double, row.exact_double,
+                        row.nodes) == (want, want, want, 0), (table.name, f, m)
+    # k = 6 is a 6 x 6 pair, 36 cells: cross-checked by subset enumeration
     x = FiniteMetricSpace.from_line(PointSet.of(3 ** i for i in range(1, 7)))
     y = FiniteMetricSpace.from_line(PointSet.of(2 * 3 ** i for i in range(1, 7)))
     exact = 2 * gh_exact(x, y, limit=36).exact
-    row = table.rows[5]
+    row = geometric_progression_experiment(6, 2).rows[5]
     assert (row.label, row.lower_double, row.upper_double, row.exact_double) == (
         "k=6", exact, exact, exact)
-    assert table.params == (("factor", 2), ("budget", 200_000))
 
 
 def test_experiment_render_is_deterministic():

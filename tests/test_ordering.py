@@ -70,6 +70,8 @@ def test_selection_parameter():
     assert rep.passed
     with pytest.raises(ValueError):
         check_order_preservation(r, x, y, selection=[3, 2, 3])  # (0,3) not in r
+    with pytest.raises(ValueError, match="every left point"):
+        check_order_preservation(r, x, y, selection=[1, 2])  # one image short
 
 
 def test_small_sets_pass_vacuously():
@@ -87,6 +89,8 @@ def test_order_violation_vacuous_pass():
     r = Correspondence.of([(0, 0), (1, 1), (2, 2)], 3, 3)
     rep = order_violation_bound(r, x, x)
     assert rep.passed and rep.inverted_pairs == 0
+    with pytest.raises(ValueError, match="witness margin must be nonnegative"):
+        order_violation_bound(r, x, x, witness_margin=F(-1, 2))
 
 
 def test_order_violation_witnessed_swap_passes_strictly():
